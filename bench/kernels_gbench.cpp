@@ -21,7 +21,6 @@
 #include "dag/tiled_qr_dag.hpp"
 #include "la/blocked_qr.hpp"
 #include "la/flops.hpp"
-#include "la/kernels_ib.hpp"
 #include "la/microkernel.hpp"
 #include "la/pivoted_qr.hpp"
 #include "la/reference_qr.hpp"
@@ -112,7 +111,7 @@ void BM_GeqrtInnerBlocked(benchmark::State& state) {
   Matrix<double> t(b, b);
   for (auto _ : state) {
     Matrix<double> a = src;
-    la::geqrt_ib<double>(a.view(), t.view(), ib);
+    la::geqrt<double>(a.view(), t.view(), ib);
     benchmark::DoNotOptimize(a.data());
   }
   state.counters["flops"] = benchmark::Counter(

@@ -2,9 +2,9 @@
 # Local gates, mirroring CI.
 #
 # Default mode — concurrency gate: builds the runtime + service test subsets
-# under ThreadSanitizer and runs them. The resident executor, thread pool,
-# job queue, plan cache, and service stress tests are exactly the code where
-# a data race would hide from the functional suite.
+# under ThreadSanitizer and runs them. The resident executor, job queue,
+# plan cache, and service stress tests are exactly the code where a data
+# race would hide from the functional suite.
 #
 # --perf mode — perf-regression gate: Release-builds the bench drivers,
 # regenerates the quick kernel numbers, and compares them against the

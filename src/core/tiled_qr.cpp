@@ -11,31 +11,30 @@ void execute_task(const dag::Task& task, la::TiledMatrix<T>& a,
   using dag::Op;
   switch (task.op) {
     case Op::kGeqrt:
-      la::geqrt_ib<T>(a.tile(task.i, task.k), tg.tile(task.i, task.k),
-                      inner_block);
+      la::geqrt<T>(a.tile(task.i, task.k), tg.tile(task.i, task.k),
+                   inner_block);
       break;
     case Op::kUnmqr:
-      la::unmqr_ib<T>(a.tile(task.i, task.k), tg.tile(task.i, task.k),
-                      a.tile(task.i, task.j), la::Trans::kTrans,
-                      inner_block);
+      la::unmqr<T>(a.tile(task.i, task.k), tg.tile(task.i, task.k),
+                   a.tile(task.i, task.j), la::Trans::kTrans);
       break;
     case Op::kTsqrt:
-      la::tsqrt_ib<T>(a.tile(task.p, task.k), a.tile(task.i, task.k),
-                      te.tile(task.i, task.k), inner_block);
+      la::tsqrt<T>(a.tile(task.p, task.k), a.tile(task.i, task.k),
+                   te.tile(task.i, task.k), inner_block);
       break;
     case Op::kTsmqr:
-      la::tsmqr_ib<T>(a.tile(task.i, task.k), te.tile(task.i, task.k),
-                      a.tile(task.p, task.j), a.tile(task.i, task.j),
-                      la::Trans::kTrans, inner_block);
+      la::tsmqr<T>(a.tile(task.i, task.k), te.tile(task.i, task.k),
+                   a.tile(task.p, task.j), a.tile(task.i, task.j),
+                   la::Trans::kTrans);
       break;
     case Op::kTtqrt:
-      la::ttqrt_ib<T>(a.tile(task.p, task.k), a.tile(task.i, task.k),
-                      te.tile(task.i, task.k), inner_block);
+      la::ttqrt<T>(a.tile(task.p, task.k), a.tile(task.i, task.k),
+                   te.tile(task.i, task.k), inner_block);
       break;
     case Op::kTtmqr:
-      la::ttmqr_ib<T>(a.tile(task.i, task.k), te.tile(task.i, task.k),
-                      a.tile(task.p, task.j), a.tile(task.i, task.j),
-                      la::Trans::kTrans, inner_block);
+      la::ttmqr<T>(a.tile(task.i, task.k), te.tile(task.i, task.k),
+                   a.tile(task.p, task.j), a.tile(task.i, task.j),
+                   la::Trans::kTrans);
       break;
     default:
       TQR_ASSERT(false, "non-QR task routed to the QR driver");
@@ -103,8 +102,7 @@ la::Matrix<T> TiledQrFactorization<T>::r() const {
 template <typename T>
 void apply_q_tiles(const dag::TaskGraph& graph, const la::TiledMatrix<T>& a,
                    const la::TiledMatrix<T>& tg, const la::TiledMatrix<T>& te,
-                   la::MatrixView<T> c, la::Trans trans,
-                   la::index_t inner_block) {
+                   la::MatrixView<T> c, la::Trans trans) {
   TQR_REQUIRE(c.rows == a.rows(), "apply_q: row mismatch");
   const la::index_t b = a.tile_size();
   auto row_block = [&](std::int32_t i) {
@@ -113,18 +111,16 @@ void apply_q_tiles(const dag::TaskGraph& graph, const la::TiledMatrix<T>& a,
   auto apply_one = [&](const dag::Task& task) {
     switch (task.op) {
       case dag::Op::kGeqrt:
-        la::unmqr_ib<T>(a.tile(task.i, task.k), tg.tile(task.i, task.k),
-                        row_block(task.i), trans, inner_block);
+        la::unmqr<T>(a.tile(task.i, task.k), tg.tile(task.i, task.k),
+                     row_block(task.i), trans);
         break;
       case dag::Op::kTsqrt:
-        la::tsmqr_ib<T>(a.tile(task.i, task.k), te.tile(task.i, task.k),
-                        row_block(task.p), row_block(task.i), trans,
-                        inner_block);
+        la::tsmqr<T>(a.tile(task.i, task.k), te.tile(task.i, task.k),
+                     row_block(task.p), row_block(task.i), trans);
         break;
       case dag::Op::kTtqrt:
-        la::ttmqr_ib<T>(a.tile(task.i, task.k), te.tile(task.i, task.k),
-                        row_block(task.p), row_block(task.i), trans,
-                        inner_block);
+        la::ttmqr<T>(a.tile(task.i, task.k), te.tile(task.i, task.k),
+                     row_block(task.p), row_block(task.i), trans);
         break;
       default:
         break;  // update tasks carry no reflectors
@@ -143,7 +139,7 @@ void apply_q_tiles(const dag::TaskGraph& graph, const la::TiledMatrix<T>& a,
 template <typename T>
 void TiledQrFactorization<T>::apply_q(la::MatrixView<T> c,
                                       la::Trans trans) const {
-  apply_q_tiles<T>(graph_, a_, tg_, te_, c, trans, inner_block_);
+  apply_q_tiles<T>(graph_, a_, tg_, te_, c, trans);
 }
 
 template <typename T>
@@ -280,14 +276,12 @@ template void apply_q_tiles<float>(const dag::TaskGraph&,
                                    const la::TiledMatrix<float>&,
                                    const la::TiledMatrix<float>&,
                                    const la::TiledMatrix<float>&,
-                                   la::MatrixView<float>, la::Trans,
-                                   la::index_t);
+                                   la::MatrixView<float>, la::Trans);
 template void apply_q_tiles<double>(const dag::TaskGraph&,
                                     const la::TiledMatrix<double>&,
                                     const la::TiledMatrix<double>&,
                                     const la::TiledMatrix<double>&,
-                                    la::MatrixView<double>, la::Trans,
-                                    la::index_t);
+                                    la::MatrixView<double>, la::Trans);
 template class TiledQrFactorization<float>;
 template class TiledQrFactorization<double>;
 template la::Matrix<float> qr_solve<float>(const la::Matrix<float>&,

@@ -14,7 +14,7 @@
 #include "dag/graph.hpp"
 #include "dag/tiled_qr_dag.hpp"
 #include "la/checks.hpp"
-#include "la/kernels_ib.hpp"
+#include "la/kernels.hpp"
 #include "la/tiled_matrix.hpp"
 #include "runtime/dag_executor.hpp"
 #include "runtime/trace.hpp"
@@ -22,8 +22,9 @@
 namespace tqr::core {
 
 /// Executes one task against tile storage. Exposed so executors, tests, and
-/// the examples can drive custom schedules. inner_block > 0 uses the
-/// PLASMA-style ib-blocked kernels for the GEQRT/UNMQR/TS families.
+/// the examples can drive custom schedules. inner_block is the recursion
+/// leaf width of the factor kernels (la::geqrt/tsqrt/ttqrt; <= 0 selects the
+/// tuned default); the apply kernels do not depend on it.
 template <typename T>
 void execute_task(const dag::Task& task, la::TiledMatrix<T>& a,
                   la::TiledMatrix<T>& tg, la::TiledMatrix<T>& te,
@@ -38,8 +39,7 @@ void execute_task(const dag::Task& task, la::TiledMatrix<T>& a,
 template <typename T>
 void apply_q_tiles(const dag::TaskGraph& graph, const la::TiledMatrix<T>& a,
                    const la::TiledMatrix<T>& tg, const la::TiledMatrix<T>& te,
-                   la::MatrixView<T> c, la::Trans trans,
-                   la::index_t inner_block = 0);
+                   la::MatrixView<T> c, la::Trans trans);
 
 template <typename T>
 class TiledQrFactorization {

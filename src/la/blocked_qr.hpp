@@ -7,7 +7,7 @@
 #pragma once
 
 #include "la/blas.hpp"
-#include "la/kernels_ib.hpp"
+#include "la/kernels.hpp"
 #include "la/matrix.hpp"
 
 namespace tqr::la {
@@ -20,7 +20,7 @@ class BlockedQr {
       : a_(std::move(a)), t_(a_.cols(), a_.cols()), nb_(nb) {
     TQR_REQUIRE(a_.rows() >= a_.cols(), "BlockedQr: require rows >= cols");
     TQR_REQUIRE(nb >= 1, "BlockedQr: panel width must be >= 1");
-    geqrt_ib<T>(a_.view(), t_.view(), nb_);
+    geqrt<T>(a_.view(), t_.view(), nb_);
   }
 
   index_t rows() const { return a_.rows(); }
@@ -38,7 +38,7 @@ class BlockedQr {
 
   /// Applies Q (kNoTrans) or Q^T (kTrans) to c (c.rows == rows()).
   void apply_q(MatrixView<T> c, Trans trans) const {
-    unmqr_ib<T>(a_.view(), t_.view(), c, trans, nb_);
+    unmqr<T>(a_.view(), t_.view(), c, trans);
   }
 
   Matrix<T> q() const {

@@ -1,5 +1,6 @@
 #include "obs/trace_log.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "la/flops.hpp"
@@ -167,6 +168,10 @@ void append_task_events(TraceLog& log,
                         double offset_s, int ib) {
   for (const runtime::TraceEvent& e : events) {
     const double dur = e.end_s - e.start_s;
+    // One row per executor worker: a worker runs one kernel at a time, so
+    // its spans never overlap. Tasks drained from a shared inbox (no
+    // worker) land on worker 0's row as instants.
+    const int row = 1 + std::max(e.worker, 0);
     TraceArgs args;
     args.add("task", static_cast<std::int64_t>(e.task));
     args.add("device", static_cast<std::int64_t>(e.device));
@@ -180,7 +185,7 @@ void append_task_events(TraceLog& log,
       name += e.task >= 0 && static_cast<std::size_t>(e.task) < graph.size()
                   ? dag::op_name(graph.task(e.task).op)
                   : "task";
-      log.instant(name, "drop", pid, 1 + e.device, offset_s + e.start_s,
+      log.instant(name, "drop", pid, row, offset_s + e.start_s,
                   std::move(args));
       continue;
     }
@@ -205,7 +210,7 @@ void append_task_events(TraceLog& log,
     log.complete(e.task >= 0 && static_cast<std::size_t>(e.task) < graph.size()
                      ? dag::op_name(graph.task(e.task).op)
                      : "task",
-                 cat, pid, 1 + e.device, offset_s + e.start_s, dur,
+                 cat, pid, row, offset_s + e.start_s, dur,
                  std::move(args));
   }
 }

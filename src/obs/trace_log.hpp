@@ -5,11 +5,13 @@
 // counter series ("C"), and process/thread-name metadata ("M").
 //
 // The service uses one log per QrService with this pid/tid convention:
-//   pid 0           — the shared queue (queued-job spans, queue.depth counter)
+//   pid 0           — the shared queue (queue.depth counter)
+//     tid r         —   queued-job spans, each on the lowest row free since
+//                       the job's submit, so no two spans on a row overlap
 //   pid 1 + lane    — one "process" per execution lane
 //     tid 0         —   job lifecycle spans (picked -> done) + retry/verify/
 //                       quarantine instants
-//     tid 1 + dev   —   per-task kernel events for that lane's device groups
+//     tid 1 + w     —   per-task kernel events run by the lane's worker w
 //
 // append_task_events() bridges a runtime::Trace snapshot (per-task records
 // from the executor) into the log, annotating each span with the kernel
@@ -106,7 +108,7 @@ class TraceLog {
 double task_flops(dag::Op op, int tile, int ib = 0);
 
 /// Appends one complete span per executor trace event: name = kernel op,
-/// cat = paper step (T/E/UT/UE), tid = 1 + device, args = task id, tile
+/// cat = paper step (T/E/UT/UE), tid = 1 + worker, args = task id, tile
 /// coordinates, and derived GFLOP/s. `offset_s` shifts the run-relative
 /// executor timestamps onto the log's clock (the service clock); `ib` is
 /// the factor kernels' inner block size (see task_flops).

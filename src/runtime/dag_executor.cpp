@@ -169,7 +169,7 @@ struct RunState {
   /// Accounts one task dropped without executing: a trace instant (so
   /// merged Perfetto timelines balance — every dispatched task is either a
   /// span or an instant) plus the drained counters.
-  void note_dropped(dag::task_id t, int dev, TraceEvent::Kind kind) {
+  void note_dropped(dag::task_id t, int dev, int wid, TraceEvent::Kind kind) {
     drained.fetch_add(1, std::memory_order_relaxed);
     if (counters)
       counters->drained_tasks.fetch_add(1, std::memory_order_relaxed);
@@ -178,6 +178,7 @@ struct RunState {
       ev.task = t;
       ev.op = graph.task(t).op;
       ev.device = dev;
+      ev.worker = wid;
       ev.start_s = ev.end_s = clock.seconds();
       ev.kind = kind;
       trace->record(ev);
@@ -190,11 +191,13 @@ struct RunState {
   void drain_leftovers() {
     for (std::size_t dev = 0; dev < devices.size(); ++dev)
       while (auto t = devices[dev].inbox->try_pop())
-        note_dropped(*t, static_cast<int>(dev), TraceEvent::Kind::kDrained);
+        note_dropped(*t, static_cast<int>(dev), -1,
+                     TraceEvent::Kind::kDrained);
     for (std::size_t w = 0; w < deques.size(); ++w) {
       std::int32_t t;
       while (deques[w]->steal(t))
-        note_dropped(t, device_of_worker[w], TraceEvent::Kind::kDrained);
+        note_dropped(t, device_of_worker[w], static_cast<int>(w),
+                     TraceEvent::Kind::kDrained);
     }
   }
 
@@ -262,7 +265,7 @@ struct RunState {
       // vanishing between the queues and the kernel; whatever is still
       // queued is accounted when execute() drains the leftovers.
       if (cancel && cancel->cancelled()) {
-        note_dropped(t, dev, TraceEvent::Kind::kCancelled);
+        note_dropped(t, dev, wid, TraceEvent::Kind::kCancelled);
         abort_run();
         return;
       }
@@ -272,6 +275,7 @@ struct RunState {
       ev.task = t;
       ev.op = task.op;
       ev.device = dev;
+      ev.worker = wid;
       ev.start_s = clock.seconds();
       try {
         kernel(t, task, dev);

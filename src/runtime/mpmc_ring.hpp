@@ -106,9 +106,12 @@ class MpmcRing {
     for (;;) {
       // Exact admission bound. `pos` is the ticket the CAS below validates,
       // so a stale (low) dequeue_pos_ read can only under-admit, never let
-      // occupancy exceed capacity.
-      if (pos - dequeue_pos_.load(std::memory_order_acquire) >= capacity_)
-        return false;
+      // occupancy exceed capacity. A stale `pos` can trail dequeue_pos_ once
+      // consumers drain past it; the distance is then negative (not "full")
+      // and the sequence check below reloads the ticket.
+      const auto occupied = static_cast<std::intptr_t>(
+          pos - dequeue_pos_.load(std::memory_order_acquire));
+      if (occupied >= static_cast<std::intptr_t>(capacity_)) return false;
       cell = &cells_[pos % phys_];
       const std::size_t seq = cell->seq.load(std::memory_order_acquire);
       const std::intptr_t dif = static_cast<std::intptr_t>(seq) -

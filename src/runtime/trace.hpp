@@ -28,6 +28,10 @@ struct TraceEvent {
   double start_s = 0;  // seconds since run start (wall or simulated)
   double end_s = 0;
   Kind kind = Kind::kTask;
+  /// Executor worker thread (global id across device groups) that ran or
+  /// dropped the task; -1 for simulated events and for tasks drained from a
+  /// shared inbox no worker had popped.
+  std::int32_t worker = -1;
 };
 
 /// One consistent copy of a trace's events. Every consumer (analysis, gantt,

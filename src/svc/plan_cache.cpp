@@ -1,34 +1,21 @@
 #include "svc/plan_cache.hpp"
 
 #include "common/error.hpp"
+#include "dag/tiled_qr_dag.hpp"
 
 namespace tqr::svc {
 
-std::uint64_t platform_fingerprint(const sim::Platform& platform) {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over config fields
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ull;
-  };
-  mix(static_cast<std::uint64_t>(platform.num_devices()));
-  for (int d = 0; d < platform.num_devices(); ++d) {
-    const auto& dev = platform.device(d);
-    mix(static_cast<std::uint64_t>(dev.kind));
-    mix(static_cast<std::uint64_t>(dev.cores));
-    mix(static_cast<std::uint64_t>(dev.slots));
-    mix(static_cast<std::uint64_t>(platform.node(d)));
-    for (char c : dev.name) mix(static_cast<std::uint64_t>(c));
-  }
-  return h;
+dag::TaskGraph build_graph(const PlanKey& key) {
+  return dag::build_tiled_qr_graph(key.rows / key.tile_size,
+                                   key.cols / key.tile_size, key.elim);
 }
 
 PlanCache::PlanCache(std::size_t capacity) : capacity_(capacity) {
   TQR_REQUIRE(capacity > 0, "plan cache needs capacity >= 1");
 }
 
-std::shared_ptr<const PlanEntry> PlanCache::get_or_build(const PlanKey& key,
-                                                         const Builder& build,
-                                                         bool* hit) {
+std::shared_ptr<const dag::TaskGraph> PlanCache::get_or_build(
+    const PlanKey& key, bool* hit) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = map_.find(key);
@@ -36,31 +23,31 @@ std::shared_ptr<const PlanEntry> PlanCache::get_or_build(const PlanKey& key,
       ++hits_;
       lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
       if (hit) *hit = true;
-      return it->second.entry;
+      return it->second.graph;
     }
     ++misses_;
   }
   if (hit) *hit = false;
 
-  // Build outside the lock: planning one shape must not block lanes that
+  // Build outside the lock: one shape's build must not block lanes that
   // are hitting (or building) other shapes.
-  auto entry = std::make_shared<const PlanEntry>(build());
+  auto graph = std::make_shared<const dag::TaskGraph>(build_graph(key));
 
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = map_.find(key);
   if (it != map_.end()) {
-    // A concurrent miss won the insert race; adopt its entry.
+    // A concurrent miss won the insert race; adopt its graph.
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    return it->second.entry;
+    return it->second.graph;
   }
   lru_.push_front(key);
-  map_.emplace(key, Slot{entry, lru_.begin()});
+  map_.emplace(key, Slot{graph, lru_.begin()});
   while (map_.size() > capacity_) {
     map_.erase(lru_.back());
     lru_.pop_back();
     ++evictions_;
   }
-  return entry;
+  return graph;
 }
 
 PlanCache::Stats PlanCache::stats() const {

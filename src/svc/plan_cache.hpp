@@ -1,42 +1,32 @@
-// Memoization of the planning pipeline: (shape, tile, elimination, device
-// config) -> { core::Plan, dag::TaskGraph }.
+// Memoization of the task graph per request shape: (shape, tile,
+// elimination) -> dag::TaskGraph.
 //
-// Planning a factorization re-runs Algorithms 2-4 and rebuilds the task DAG
-// with full dependence analysis — fixed cost that is identical for every job
-// of the same shape on the same platform. The cache hands repeat shapes a
-// shared immutable entry so steady-state jobs skip planning entirely
+// Building a factorization's DAG runs full dependence analysis — fixed cost
+// that is identical for every job of the same shape. The cache hands repeat
+// shapes a shared immutable entry so steady-state jobs skip it entirely
 // (PLASMA-lineage runtimes amortize the same way across calls). Entries are
-// shared_ptr<const ...>: eviction never invalidates a plan a lane is
+// shared_ptr<const ...>: eviction never invalidates a graph a lane is
 // executing.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 
-#include "core/plan.hpp"
 #include "dag/graph.hpp"
-#include "sim/platform.hpp"
+#include "dag/task.hpp"
+#include "la/matrix.hpp"
 
 namespace tqr::svc {
 
-/// Identity of a plannable request. platform_hash folds in the device
-/// configuration so one cache can serve services on different platforms
-/// without aliasing.
+/// Identity of a cacheable request: everything the task graph depends on.
 struct PlanKey {
   la::index_t rows = 0;  // padded (tile-aligned) dimensions
   la::index_t cols = 0;
   int tile_size = 0;
   dag::Elimination elim = dag::Elimination::kTt;
-  /// Factor-kernel inner block size the plan's execution assumes. Part of
-  /// the key so services configured with different kernel shapes never
-  /// share a cached plan (the plan's config records ib; execution reads it
-  /// back from there).
-  la::index_t inner_block = 0;
-  std::uint64_t platform_hash = 0;
 
   bool operator==(const PlanKey&) const = default;
 };
@@ -52,39 +42,28 @@ struct PlanKeyHash {
     mix(static_cast<std::uint64_t>(k.cols));
     mix(static_cast<std::uint64_t>(k.tile_size));
     mix(static_cast<std::uint64_t>(k.elim));
-    mix(static_cast<std::uint64_t>(k.inner_block));
-    mix(k.platform_hash);
     return static_cast<std::size_t>(h);
   }
 };
 
-/// Stable fingerprint of a platform's scheduling-relevant configuration.
-std::uint64_t platform_fingerprint(const sim::Platform& platform);
-
-/// Everything planning produces for one shape.
-struct PlanEntry {
-  core::Plan plan;
-  dag::TaskGraph graph;
-};
+/// The factorization DAG of `key`'s padded tile grid.
+dag::TaskGraph build_graph(const PlanKey& key);
 
 /// Thread-safe LRU cache with hit/miss/eviction counters.
 ///
-/// Concurrent misses on the same key may build the entry more than once
-/// (builders run outside the lock so distinct shapes never serialize on each
-/// other's planning); the first insert wins and the losers adopt it, so
-/// callers always share one entry per key afterwards.
+/// Concurrent misses on the same key may build the graph more than once
+/// (builds run outside the lock so distinct shapes never serialize on each
+/// other); the first insert wins and the losers adopt it, so callers always
+/// share one graph per key afterwards.
 class PlanCache {
  public:
   explicit PlanCache(std::size_t capacity);
 
-  using Builder = std::function<PlanEntry()>;
-
-  /// Returns the cached entry for `key`, building (and inserting) it on a
-  /// miss. `hit`, when non-null, reports whether this call was served from
-  /// cache.
-  std::shared_ptr<const PlanEntry> get_or_build(const PlanKey& key,
-                                                const Builder& build,
-                                                bool* hit = nullptr);
+  /// Returns the cached graph for `key`, building (and inserting) it with
+  /// build_graph on a miss. `hit`, when non-null, reports whether this call
+  /// was served from cache.
+  std::shared_ptr<const dag::TaskGraph> get_or_build(const PlanKey& key,
+                                                     bool* hit = nullptr);
 
   struct Stats {
     std::uint64_t hits = 0;
@@ -103,7 +82,7 @@ class PlanCache {
 
  private:
   struct Slot {
-    std::shared_ptr<const PlanEntry> entry;
+    std::shared_ptr<const dag::TaskGraph> graph;
     std::list<PlanKey>::iterator lru_pos;
   };
 

@@ -10,7 +10,6 @@
 #include "core/batched_qr.hpp"
 #include "core/tiled_qr.hpp"
 #include "dag/task_accesses.hpp"
-#include "dag/tiled_qr_dag.hpp"
 #include "la/blas.hpp"
 #include "la/checks.hpp"
 #include "runtime/dag_executor.hpp"
@@ -35,6 +34,11 @@ void load_padded(la::TiledMatrix<double>& dst,
 
 la::index_t round_up(la::index_t n, la::index_t b) {
   return (n + b - 1) / b * b;
+}
+
+/// Workers in each lane's device group: one per hardware thread.
+int host_workers() {
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
 /// std::to_string renders small doubles as "0.000000"; verification
@@ -91,9 +95,9 @@ QrService::Metrics::Metrics(obs::Registry& r)
       exec_s(r.histogram("job.exec_s",
                          obs::exponential_bounds(1e-5, 120.0))) {}
 
-/// Per-lane resident executor. With reuse_engines the engine (and its device
-/// thread groups) lives as long as the lane; otherwise one is built per job,
-/// reproducing the seed's per-run cost for baseline comparisons.
+/// Per-lane resident executor. With reuse_engines the engine (and its worker
+/// threads) lives as long as the lane; otherwise one is built per job, paying
+/// the per-run spawn cost for baseline comparisons.
 struct QrService::LaneEngine {
   runtime::DagExecutor::Options options;
   std::unique_ptr<runtime::DagExecutor> resident;
@@ -141,20 +145,16 @@ struct QrService::JobControl {
 
 QrService::QrService(const ServiceConfig& config)
     : config_(config),
-      platform_(sim::paper_platform_with_gpus(config.gpus)),
       queue_(config.queue_capacity, config.admission),
       plan_cache_(config.plan_cache_capacity),
       workspace_pool_(config.workspace_max_bytes),
       metrics_(registry_),
       exec_counters_(std::make_unique<runtime::ExecCounters>()) {
   TQR_REQUIRE(config.lanes > 0, "service needs at least one lane");
-  TQR_REQUIRE(config.threads_per_device > 0,
-              "threads_per_device must be >= 1");
   TQR_REQUIRE(config.default_tile > 0, "default_tile must be >= 1");
   TQR_REQUIRE(config.quarantine_after >= 0,
               "quarantine_after must be >= 0");
   TQR_REQUIRE(config.probation_s >= 0, "probation_s must be >= 0");
-  platform_hash_ = platform_fingerprint(platform_);
   lane_health_.resize(static_cast<std::size_t>(config.lanes));
   if (config.fault.mode != FaultConfig::Mode::kNone)
     fault_ = std::make_unique<FaultInjector>(config.fault);
@@ -164,20 +164,18 @@ QrService::QrService(const ServiceConfig& config)
   if (config.collect_trace) {
     trace_ = std::make_unique<obs::TraceLog>(config.trace_capacity);
     // Name the viewer tracks up front: pid trace_pid_base is the shared
-    // queue, one "process" per lane with a lifecycle row plus one row per
-    // device group. trace_label qualifies the names when several services
-    // (cluster nodes) merge into one document.
+    // queue (its rows are named as queue_row() opens them), one "process"
+    // per lane with a lifecycle row plus one row per executor worker.
+    // trace_label qualifies the names when several services (cluster nodes)
+    // merge into one document.
     trace_->process_name(queue_pid(), config.trace_label + "svc queue");
-    trace_->thread_name(queue_pid(), 0, "queued jobs");
     for (int lane = 0; lane < config.lanes; ++lane) {
       const int pid = lane_pid(lane);
       trace_->process_name(pid,
                            config.trace_label + "lane " + std::to_string(lane));
       trace_->thread_name(pid, 0, "jobs");
-      for (int dev = 0; dev < platform_.num_devices(); ++dev)
-        trace_->thread_name(pid, 1 + dev,
-                            platform_.devices[static_cast<std::size_t>(dev)]
-                                .name);
+      for (int w = 0; w < host_workers(); ++w)
+        trace_->thread_name(pid, 1 + w, "worker " + std::to_string(w));
     }
   }
   lanes_.reserve(static_cast<std::size_t>(config.lanes));
@@ -317,10 +315,7 @@ void QrService::drain() {
 
 void QrService::lane_main(int lane) {
   LaneEngine engine;
-  engine.options.num_devices = platform_.num_devices();
-  engine.options.threads_per_device.assign(
-      static_cast<std::size_t>(platform_.num_devices()),
-      config_.threads_per_device);
+  engine.options.threads_per_device = {host_workers()};
   engine.options.counters = exec_counters_.get();
   if (config_.reuse_engines)
     engine.resident =
@@ -445,7 +440,8 @@ JobResult QrService::process(LaneEngine& engine, int lane, PendingJob job,
   if (trace_) {
     // The job's time in the shared queue, on the queue track; the lifecycle
     // span on the lane track starts where this one ends.
-    trace_->complete("queued", "queue", queue_pid(), 0, job.submit_s,
+    trace_->complete("queued", "queue", queue_pid(),
+                     queue_row(job.submit_s, picked_up_s), job.submit_s,
                      result.queue_s,
                      obs::TraceArgs()
                          .add("job", static_cast<std::int64_t>(job.id))
@@ -613,26 +609,12 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
   const la::index_t pr = round_up(a.rows(), b);
   const la::index_t pc = round_up(a.cols(), b);
 
-  // Plan + DAG: cached per shape.
-  PlanKey key{pr, pc, b, job.spec.elim, config_.inner_block,
-              platform_hash_};
-  auto build = [&]() -> PlanEntry {
-    core::PlanConfig pc_cfg;
-    pc_cfg.tile_size = b;
-    pc_cfg.element_bytes = sizeof(double);
-    pc_cfg.elim = job.spec.elim;
-    pc_cfg.inner_block = config_.inner_block;
-    core::Plan plan(platform_, pr / b, pc / b, pc_cfg);
-    dag::TaskGraph graph = dag::build_tiled_qr_graph(
-        pr / b, pc / b, job.spec.elim, plan.hier_groups());
-    return PlanEntry{std::move(plan), std::move(graph)};
-  };
-  std::shared_ptr<const PlanEntry> entry;
-  if (config_.plan_cache_enabled) {
-    entry = plan_cache_.get_or_build(key, build, &result.plan_cache_hit);
-  } else {
-    entry = std::make_shared<const PlanEntry>(build());
-  }
+  // Task graph: cached per shape.
+  const PlanKey key{pr, pc, b, job.spec.elim};
+  const std::shared_ptr<const dag::TaskGraph> graph =
+      config_.plan_cache_enabled
+          ? plan_cache_.get_or_build(key, &result.plan_cache_hit)
+          : std::make_shared<const dag::TaskGraph>(build_graph(key));
 
   // Workspace: recycled per shape. The RAII lease is what guarantees the
   // pool's `outstanding` returns to zero on EVERY exit from this attempt —
@@ -686,18 +668,12 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
     a_fro = std::sqrt(fro2);
   }
 
-  // Execute the factorization graph on the lane engine, routed by the
-  // plan's device assignment. The kernel wrapper is the service's
-  // task-boundary hook: it enforces the exec deadline (measured from lane
-  // pickup), short-circuits once the token latched (the executor then
-  // aborts without releasing successors), and runs fault injection ahead
-  // of the real tile kernel.
-  const core::Plan& plan = entry->plan;
-  // Kernel configuration comes from the plan, not the service config: the
-  // plan's timings (and its cache key) were made for this ib, so reading it
-  // back here keeps calibration and execution on the same configuration
-  // even if the service knob changes between planning and running.
-  const la::index_t ib = plan.config().inner_block;
+  // Execute the factorization graph on the lane engine's one device group.
+  // The kernel wrapper is the service's task-boundary hook: it enforces the
+  // exec deadline (measured from lane pickup), short-circuits once the token
+  // latched (the executor then aborts without releasing successors), and
+  // runs fault injection ahead of the real tile kernel.
+  const la::index_t ib = config_.inner_block;
   const double deadline_s = job.spec.exec_deadline_s;
   const int lane = result.lane;
 
@@ -743,10 +719,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
   const double exec_start_s = clock_.seconds();
   Timer exec_clock;
   engine.execute(
-      entry->graph,
-      [&plan](dag::task_id, const dag::Task& task) {
-        return plan.device_for(task);
-      },
+      *graph, [](dag::task_id, const dag::Task&) { return 0; },
       [this, &ws, &f32, ib, &control, picked_up_s, deadline_s, lane,
        corrupting](dag::task_id t, const dag::Task& task, int) {
         auto past_deadline = [&] {
@@ -835,7 +808,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
       }
   }
   if (trace_)
-    obs::append_task_events(*trace_, task_trace.events(), entry->graph, b,
+    obs::append_task_events(*trace_, task_trace.events(), *graph, b,
                             lane_pid(lane), exec_start_s,
                             static_cast<int>(ib));
 
@@ -889,8 +862,8 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
       for (la::index_t j = i; j < pc; ++j) s += ws->a.at(i, j) * x(j, 0);
       z(i, 0) = s;
     }
-    core::apply_q_tiles<double>(entry->graph, ws->a, ws->tg, ws->te, z.view(),
-                                la::Trans::kNoTrans, ib);
+    core::apply_q_tiles<double>(*graph, ws->a, ws->tg, ws->te, z.view(),
+                                la::Trans::kNoTrans);
     la::Matrix<double> ax(pr, 1);
     for (la::index_t i = 0; i < a.rows(); ++i) {
       double s = 0;
@@ -913,8 +886,8 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
     for (la::index_t j = 0; j < pc; ++j)
       for (la::index_t i = 0; i <= j && i < pr; ++i)
         qr(i, j) = ws->a.at(i, j);
-    core::apply_q_tiles<double>(entry->graph, ws->a, ws->tg, ws->te,
-                                qr.view(), la::Trans::kNoTrans, ib);
+    core::apply_q_tiles<double>(*graph, ws->a, ws->tg, ws->te, qr.view(),
+                                la::Trans::kNoTrans);
     double diff2 = 0, norm2 = 0;
     for (la::index_t j = 0; j < pc; ++j) {
       for (la::index_t i = 0; i < pr; ++i) {
@@ -970,29 +943,18 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
   result.batch_r.assign(static_cast<std::size_t>(count),
                         la::Matrix<double>());
 
-  // One PlanCache touch per batch — the same (shape, tile, elim, platform)
-  // key a single job of this shape uses. The interleaved engine needs no
-  // task graph, but resolving the entry here (a) makes plan_cache_hit mean
+  // One PlanCache touch per batch — the same (shape, tile, elim) key a
+  // single job of this shape uses. The interleaved engine needs no
+  // task graph, but resolving it here (a) makes plan_cache_hit mean
   // the same thing for both job kinds, (b) amortizes to one lookup per
   // *batch* where the loop-of-jobs baseline pays one per problem, and (c)
-  // pre-warms the entry any same-shape single job (e.g. a caller
+  // pre-warms the graph any same-shape single job (e.g. a caller
   // re-checking one member) would otherwise build.
   const la::index_t pr = round_up(m, b);
   const la::index_t pc = round_up(n, b);
-  PlanKey key{pr, pc, b, job.spec.elim, config_.inner_block, platform_hash_};
-  auto build = [&]() -> PlanEntry {
-    core::PlanConfig pc_cfg;
-    pc_cfg.tile_size = b;
-    pc_cfg.element_bytes = sizeof(double);
-    pc_cfg.elim = job.spec.elim;
-    pc_cfg.inner_block = config_.inner_block;
-    core::Plan plan(platform_, pr / b, pc / b, pc_cfg);
-    dag::TaskGraph graph = dag::build_tiled_qr_graph(
-        pr / b, pc / b, job.spec.elim, plan.hier_groups());
-    return PlanEntry{std::move(plan), std::move(graph)};
-  };
+  const PlanKey key{pr, pc, b, job.spec.elim};
   if (config_.plan_cache_enabled)
-    plan_cache_.get_or_build(key, build, &result.plan_cache_hit);
+    plan_cache_.get_or_build(key, &result.plan_cache_hit);
 
   // One WorkspacePool lease per batch: pooled fp64 interleaved factor
   // storage. fp32 batches factor into transient float planes (the batched
@@ -1224,6 +1186,19 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
                         .add("ok", static_cast<std::int64_t>(
                                        result.problems_ok))
                         .add("occupancy", result.batch_occupancy));
+}
+
+int QrService::queue_row(double submit_s, double picked_up_s) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::size_t row = 0;
+  while (row < queue_row_free_s_.size() && queue_row_free_s_[row] > submit_s)
+    ++row;
+  if (row == queue_row_free_s_.size()) {
+    queue_row_free_s_.push_back(0);
+    trace_->thread_name(queue_pid(), static_cast<int>(row), "queued jobs");
+  }
+  queue_row_free_s_[row] = picked_up_s;
+  return static_cast<int>(row);
 }
 
 ServiceStats QrService::stats() const {

@@ -1,26 +1,26 @@
 // QrService — a resident QR factorization job service.
 //
-// The seed's tools run one factorization per process: derive the plan, build
-// the DAG, allocate tile workspaces, spin up executor threads, factor, tear
-// everything down. QrService keeps all of that resident and amortizes it
-// across many jobs, the way PLASMA-lineage runtimes amortize scheduling
-// state across calls:
+// A one-shot factorization builds the DAG, allocates tile workspaces, spins
+// up executor threads, factors, and tears everything down. QrService keeps
+// all of that resident and amortizes it across many jobs, the way
+// PLASMA-lineage runtimes amortize scheduling state across calls:
 //
 //   submit() ──> JobQueue (bounded; admission control = backpressure)
 //                   │ pop
 //                   ▼
 //   lane 0..L-1: persistent worker, each owning a resident
-//                runtime::DagExecutor whose device thread groups outlive
-//                every job the lane runs
+//                runtime::DagExecutor: one device group of
+//                hardware_concurrency() workers that outlives every job
+//                the lane runs
 //                   │
-//                   ├─ PlanCache: (shape, tile, elim, platform) ->
-//                   │    {core::Plan, dag::TaskGraph}; repeat shapes skip
-//                   │    planning entirely (LRU, hit/miss counters)
+//                   ├─ PlanCache: (shape, tile, elim) -> dag::TaskGraph;
+//                   │    repeat shapes skip dependence analysis entirely
+//                   │    (LRU, hit/miss counters)
 //                   ├─ WorkspacePool: recycled tile + T-factor storage;
 //                   │    steady state allocates nothing
-//                   └─ execute on the lane engine, routed by the plan's
-//                        device assignment (same schedule the simulator and
-//                        one-shot driver use)
+//                   └─ execute on the lane engine: every worker pulls ready
+//                        tiles from the one DAG (work stealing, no device
+//                        routing — the host has no modeled GPUs)
 //
 // Jobs on different lanes run concurrently; each lane's engine serves one
 // job at a time. Results come back through std::future<JobResult>; admission
@@ -46,7 +46,6 @@
 #include <vector>
 
 #include "common/timer.hpp"
-#include "core/plan.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_log.hpp"
 #include "sim/platform.hpp"
@@ -64,10 +63,9 @@ struct ExecCounters;  // runtime/dag_executor.hpp (kept out of this header)
 namespace tqr::svc {
 
 struct ServiceConfig {
-  /// Concurrent execution lanes; each owns a resident DagExecutor.
+  /// Concurrent execution lanes; each owns a resident DagExecutor with
+  /// hardware_concurrency() workers.
   int lanes = 2;
-  /// Slave threads per device group inside each lane's engine.
-  int threads_per_device = 1;
 
   std::size_t queue_capacity = 64;
   Admission admission = Admission::kBlock;
@@ -79,17 +77,14 @@ struct ServiceConfig {
   /// Byte cap for recycled workspaces; 0 disables recycling.
   std::size_t workspace_max_bytes = std::size_t{256} << 20;
 
-  /// Reuse each lane's DagExecutor across jobs. Disable to pay the seed's
-  /// per-job thread-group spawn/teardown (cold baseline).
+  /// Reuse each lane's DagExecutor across jobs. Disable to pay a per-job
+  /// worker spawn/teardown (cold baseline).
   bool reuse_engines = true;
 
   /// Tile size for jobs that leave JobSpec::tile_size at 0.
   int default_tile = 16;
-  /// Inner blocking width passed to the tile kernels (0 = unblocked).
+  /// Recursion leaf width of the factor kernels (0 = the tuned default).
   la::index_t inner_block = 0;
-
-  /// Modeled GPUs in the planning platform (0-3, the paper's node).
-  int gpus = 3;
 
   /// Shutdown policy: by default the destructor drains every accepted job
   /// to completion. With this set, shutdown instead cancels all outstanding
@@ -192,7 +187,8 @@ class QrService {
   const obs::TraceLog* trace() const { return trace_.get(); }
 
   const ServiceConfig& config() const { return config_; }
-  const sim::Platform& platform() const { return platform_; }
+  /// The platform jobs run on: the paper node's host CPU alone, one device.
+  sim::Platform platform() const { return sim::paper_platform_with_gpus(0); }
 
  private:
   struct LaneEngine;  // hides runtime::DagExecutor from this header
@@ -209,6 +205,10 @@ class QrService {
   /// Chrome-trace pids honoring config_.trace_pid_base.
   int queue_pid() const { return config_.trace_pid_base; }
   int lane_pid(int lane) const { return config_.trace_pid_base + 1 + lane; }
+
+  /// Trace row on the queue track for a job waiting [submit_s, picked_up_s]:
+  /// the lowest row free since submit_s, so spans on a row never overlap.
+  int queue_row(double submit_s, double picked_up_s);
 
   void lane_main(int lane);
   /// Blocks while `lane` is quarantined (half-opening it when probation_s
@@ -227,8 +227,6 @@ class QrService {
                  JobControl& control, JobResult& result);
 
   ServiceConfig config_;
-  sim::Platform platform_;
-  std::uint64_t platform_hash_ = 0;
 
   Timer clock_;
   JobQueue queue_;
@@ -271,6 +269,8 @@ class QrService {
   std::uint64_t next_id_ = 1;
   std::uint64_t in_flight_ = 0;
   std::vector<LaneHealth> lane_health_;
+  /// Per queue-track row, the time its latest queued span ended.
+  std::vector<double> queue_row_free_s_;
   bool closed_ = false;
   /// Cancellation handles for every outstanding job (queued or running);
   /// erased when the job's future resolves.

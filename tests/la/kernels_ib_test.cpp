@@ -1,7 +1,8 @@
-// Inner-blocked kernels must be numerically interchangeable with the
-// unblocked ones (same factored subspace, machine-precision factors),
-// including through the full tiled factorization.
-#include "la/kernels_ib.hpp"
+// The factor kernels at every inner block (recursion leaf) width must be
+// numerically interchangeable with the unblocked ones (same factored
+// subspace, machine-precision factors), including through the full tiled
+// factorization; the apply kernels take no ib at all.
+#include "la/kernels.hpp"
 
 #include <gtest/gtest.h>
 
@@ -19,11 +20,11 @@ TEST_P(IbWidths, GeqrtIbProducesValidQr) {
   auto a0 = Matrix<double>::random(b, b, 800 + ib);
   Matrix<double> a = a0;
   Matrix<double> t(b, b);
-  geqrt_ib<double>(a.view(), t.view(), ib);
+  geqrt<double>(a.view(), t.view(), ib);
 
-  // Q from the blocked factors via unmqr_ib applied to the identity.
+  // Q from the blocked factors via unmqr applied to the identity.
   Matrix<double> q = Matrix<double>::identity(b);
-  unmqr_ib<double>(a.view(), t.view(), q.view(), Trans::kNoTrans, ib);
+  unmqr<double>(a.view(), t.view(), q.view(), Trans::kNoTrans);
   EXPECT_LT(orthogonality_residual<double>(q.view()),
             residual_tolerance<double>(b));
 
@@ -42,7 +43,7 @@ TEST_P(IbWidths, GeqrtIbMatchesUnblockedR) {
   auto a0 = Matrix<double>::random(b, b, 900 + ib);
   Matrix<double> blocked = a0, plain = a0;
   Matrix<double> tb(b, b), tp(b, b);
-  geqrt_ib<double>(blocked.view(), tb.view(), ib);
+  geqrt<double>(blocked.view(), tb.view(), ib);
   geqrt<double>(plain.view(), tp.view());
   for (index_t i = 0; i < b; ++i) {
     const double sign =
@@ -63,12 +64,11 @@ TEST_P(IbWidths, TsqrtIbEliminatesStackedTile) {
   auto a2_0 = Matrix<double>::random(b, b, 1001 + ib);
   Matrix<double> r1w = r1, a2 = a2_0;
   Matrix<double> t(b, b);
-  tsqrt_ib<double>(r1w.view(), a2.view(), t.view(), ib);
+  tsqrt<double>(r1w.view(), a2.view(), t.view(), ib);
 
   // Applying Q^T to the original stack must reproduce [R_new; 0].
   Matrix<double> c1 = r1, c2 = a2_0;
-  tsmqr_ib<double>(a2.view(), t.view(), c1.view(), c2.view(), Trans::kTrans,
-                   ib);
+  tsmqr<double>(a2.view(), t.view(), c1.view(), c2.view(), Trans::kTrans);
   for (index_t j = 0; j < b; ++j) {
     for (index_t i = 0; i <= j; ++i) EXPECT_NEAR(c1(i, j), r1w(i, j), 1e-9);
     for (index_t i = 0; i < b; ++i) EXPECT_NEAR(c2(i, j), 0.0, 1e-9);
@@ -83,14 +83,12 @@ TEST_P(IbWidths, TsmqrIbRoundTrips) {
     for (index_t i = 0; i <= j; ++i) r1(i, j) = 1.0 + i + 2 * j;
   auto v2 = Matrix<double>::random(b, b, 1100 + ib);
   Matrix<double> t(b, b);
-  tsqrt_ib<double>(r1.view(), v2.view(), t.view(), ib);
+  tsqrt<double>(r1.view(), v2.view(), t.view(), ib);
   auto c1_0 = Matrix<double>::random(b, b, 1101 + ib);
   auto c2_0 = Matrix<double>::random(b, b, 1102 + ib);
   Matrix<double> c1 = c1_0, c2 = c2_0;
-  tsmqr_ib<double>(v2.view(), t.view(), c1.view(), c2.view(), Trans::kTrans,
-                   ib);
-  tsmqr_ib<double>(v2.view(), t.view(), c1.view(), c2.view(),
-                   Trans::kNoTrans, ib);
+  tsmqr<double>(v2.view(), t.view(), c1.view(), c2.view(), Trans::kTrans);
+  tsmqr<double>(v2.view(), t.view(), c1.view(), c2.view(), Trans::kNoTrans);
   for (index_t j = 0; j < b; ++j)
     for (index_t i = 0; i < b; ++i) {
       EXPECT_NEAR(c1(i, j), c1_0(i, j), 1e-9);
@@ -112,7 +110,7 @@ TEST(KernelsIb, PreservesDiagonalTileVStorage) {
     for (index_t i = j + 1; i < b; ++i) below(i, j) = top(i, j);
   auto a2 = Matrix<double>::random(b, b, 43);
   Matrix<double> t(b, b);
-  tsqrt_ib<double>(top.view(), a2.view(), t.view(), ib);
+  tsqrt<double>(top.view(), a2.view(), t.view(), ib);
   for (index_t j = 0; j < b; ++j)
     for (index_t i = j + 1; i < b; ++i) EXPECT_EQ(top(i, j), below(i, j));
 }
@@ -158,7 +156,7 @@ TEST(KernelsIb, IbZeroFallsBackToUnblocked) {
   Matrix<double> a1 = a0, a2 = a0;
   Matrix<double> t1(b, b), t2(b, b);
   geqrt<double>(a1.view(), t1.view());
-  geqrt_ib<double>(a2.view(), t2.view(), 0);
+  geqrt<double>(a2.view(), t2.view(), 0);
   for (index_t j = 0; j < b; ++j)
     for (index_t i = 0; i < b; ++i) {
       EXPECT_EQ(a1(i, j), a2(i, j));

@@ -1,6 +1,9 @@
 // Integration: the QrService's registry-backed stats and its Chrome trace,
 // validated by parsing the emitted JSON back.
+#include <algorithm>
 #include <future>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -65,6 +68,41 @@ TEST(ServiceObs, TraceParsesBackWithLifecycleAndKernelSpans) {
   EXPECT_EQ(kernels, 40);
   EXPECT_GE(counters, 4);  // a queue-depth sample per submit at minimum
   EXPECT_GT(meta, 0);
+}
+
+TEST(ServiceObs, KernelSpansNeverOverlapOnOneRow) {
+  // Every worker of a lane's device group gets its own trace row, so a
+  // multi-tile job's concurrent kernels must never stack on one (pid, tid).
+  ServiceConfig config;
+  config.lanes = 2;
+  config.collect_trace = true;
+  QrService service(config);
+  std::vector<std::future<JobResult>> futures;
+  for (int i = 0; i < 3; ++i)
+    futures.push_back(service.submit(spec_for(128, 128, 30 + i)));
+  service.drain();
+  for (auto& f : futures) EXPECT_EQ(f.get().status, JobStatus::kOk);
+
+  const obs::Json doc = obs::Json::parse(service.trace_json());
+  std::map<std::pair<int, int>, std::vector<std::pair<double, double>>> rows;
+  int kernels = 0;
+  for (const auto& e : doc.find("traceEvents")->items()) {
+    if (e.find("ph")->as_string() != "X") continue;
+    const int pid = static_cast<int>(e.find("pid")->as_number());
+    const int tid = static_cast<int>(e.find("tid")->as_number());
+    if (pid == 0 || tid == 0) continue;  // queue and lifecycle rows
+    ++kernels;
+    const double ts = e.find("ts")->as_number();
+    rows[{pid, tid}].emplace_back(ts, ts + e.find("dur")->as_number());
+  }
+  // 128x128 at tile 16 is an 8x8 grid: far more tasks than one row.
+  EXPECT_GT(kernels, 3 * 64);
+  for (auto& [row, spans] : rows) {
+    std::sort(spans.begin(), spans.end());
+    for (std::size_t i = 1; i < spans.size(); ++i)
+      EXPECT_GE(spans[i].first, spans[i - 1].second - 1e-3)
+          << "overlap on pid " << row.first << " tid " << row.second;
+  }
 }
 
 TEST(ServiceObs, TracingOffMeansNoLogAndEmptyDocument) {

@@ -116,7 +116,8 @@ TEST(AppendTaskEvents, AnnotatesKernelClassTileAndRate) {
     runtime::TraceEvent e;
     e.task = static_cast<std::int32_t>(t);
     e.op = graph.task(static_cast<dag::task_id>(t)).op;
-    e.device = static_cast<std::int32_t>(t % 2);
+    e.device = 0;
+    e.worker = static_cast<std::int32_t>(t % 2);
     e.start_s = 1e-3 * static_cast<double>(t);
     e.end_s = e.start_s + 1e-4;
     events.push_back(e);
@@ -132,7 +133,8 @@ TEST(AppendTaskEvents, AnnotatesKernelClassTileAndRate) {
   EXPECT_EQ(first.find("name")->as_string(),
             dag::op_name(graph.task(0).op));
   EXPECT_EQ(first.find("pid")->as_number(), 3);
-  EXPECT_EQ(first.find("tid")->as_number(), 1 + 0);  // 1 + device
+  EXPECT_EQ(first.find("tid")->as_number(), 1 + 0);  // 1 + worker
+  EXPECT_EQ(out[1].find("tid")->as_number(), 1 + 1);
   // Offset shifts run-relative time onto the caller's clock (1 s -> us).
   EXPECT_DOUBLE_EQ(first.find("ts")->as_number(), 1.0e6);
   const Json* args = first.find("args");

@@ -126,6 +126,41 @@ TEST(MpmcRing, ManyProducersManyConsumersDeliverEverythingOnce) {
   EXPECT_EQ(ring.in_flight(), 0u);
 }
 
+// A ring sized to every value it will ever hold can never be full — the
+// executor's device inboxes rely on this (an inbox holds each task at most
+// once). A producer whose ticket read went stale while consumers drained
+// past it must re-read the ticket, not report "full".
+TEST(MpmcRing, PushIntoRingSizedForAllValuesNeverFails) {
+  constexpr int kProducers = 6;
+  constexpr int kConsumers = 6;
+  constexpr int kPerProducer = 20000;
+  constexpr int kTotal = kProducers * kPerProducer;
+  MpmcRing<std::uint32_t> ring(kTotal);
+
+  std::atomic<int> failed_pushes{0};
+  std::atomic<int> consumed{0};
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&, p] {
+      for (int i = 0; i < kPerProducer; ++i)
+        if (!ring.try_push(static_cast<std::uint32_t>(p * kPerProducer + i)))
+          failed_pushes.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  for (int c = 0; c < kConsumers; ++c) {
+    threads.emplace_back([&] {
+      while (consumed.load(std::memory_order_acquire) +
+                 failed_pushes.load(std::memory_order_acquire) <
+             kTotal) {
+        if (ring.try_pop()) consumed.fetch_add(1, std::memory_order_acq_rel);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failed_pushes.load(), 0);
+  EXPECT_EQ(consumed.load(), kTotal);
+}
+
 TEST(Backoff, ExhaustsAfterBoundedSpins) {
   Backoff b;
   EXPECT_FALSE(b.exhausted());

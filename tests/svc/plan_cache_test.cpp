@@ -12,39 +12,17 @@
 namespace tqr::svc {
 namespace {
 
-PlanKey key_for(la::index_t n, int tile, std::uint64_t platform_hash) {
-  return PlanKey{n, n, tile, dag::Elimination::kTt, platform_hash};
+PlanKey key_for(la::index_t n, int tile,
+                dag::Elimination elim = dag::Elimination::kTt) {
+  return PlanKey{n, n, tile, elim};
 }
 
-class PlanCacheTest : public ::testing::Test {
- protected:
-  PlanCacheTest()
-      : platform_(sim::paper_platform_with_gpus(2)),
-        hash_(platform_fingerprint(platform_)) {}
-
-  PlanCache::Builder builder_for(la::index_t n, int tile) {
-    return [this, n, tile]() -> PlanEntry {
-      core::PlanConfig cfg;
-      cfg.tile_size = tile;
-      core::Plan plan(platform_, n / tile, n / tile, cfg);
-      dag::TaskGraph graph =
-          dag::build_tiled_qr_graph(n / tile, n / tile, cfg.elim);
-      return PlanEntry{std::move(plan), std::move(graph)};
-    };
-  }
-
-  sim::Platform platform_;
-  std::uint64_t hash_;
-};
-
-TEST_F(PlanCacheTest, MissThenHitSharesOneEntry) {
+TEST(PlanCacheTest, MissThenHitSharesOneEntry) {
   PlanCache cache(4);
   bool hit = true;
-  auto first = cache.get_or_build(key_for(64, 16, hash_),
-                                  builder_for(64, 16), &hit);
+  auto first = cache.get_or_build(key_for(64, 16), &hit);
   EXPECT_FALSE(hit);
-  auto second = cache.get_or_build(key_for(64, 16, hash_),
-                                   builder_for(64, 16), &hit);
+  auto second = cache.get_or_build(key_for(64, 16), &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(first.get(), second.get());
   const auto s = cache.stats();
@@ -53,78 +31,81 @@ TEST_F(PlanCacheTest, MissThenHitSharesOneEntry) {
   EXPECT_EQ(s.size, 1u);
 }
 
-TEST_F(PlanCacheTest, DistinctKeysDistinctEntries) {
+TEST(PlanCacheTest, DistinctKeysDistinctEntries) {
   PlanCache cache(8);
-  auto a = cache.get_or_build(key_for(64, 16, hash_), builder_for(64, 16));
-  auto b = cache.get_or_build(key_for(128, 16, hash_), builder_for(128, 16));
-  auto c = cache.get_or_build(key_for(64, 32, hash_), builder_for(64, 32));
+  auto a = cache.get_or_build(key_for(64, 16));
+  auto b = cache.get_or_build(key_for(128, 16));
+  auto c = cache.get_or_build(key_for(64, 32));
   EXPECT_NE(a.get(), b.get());
   EXPECT_NE(a.get(), c.get());
   EXPECT_EQ(cache.stats().size, 3u);
-  EXPECT_EQ(a->graph.size(),
+  EXPECT_EQ(a->size(),
             dag::build_tiled_qr_graph(4, 4, dag::Elimination::kTt).size());
 }
 
-TEST_F(PlanCacheTest, LruEvictsColdestKey) {
+TEST(PlanCacheTest, LruEvictsColdestKey) {
   PlanCache cache(2);
-  cache.get_or_build(key_for(64, 16, hash_), builder_for(64, 16));
-  cache.get_or_build(key_for(128, 16, hash_), builder_for(128, 16));
+  cache.get_or_build(key_for(64, 16));
+  cache.get_or_build(key_for(128, 16));
   // Touch 64 so 128 is coldest, then insert a third key.
-  cache.get_or_build(key_for(64, 16, hash_), builder_for(64, 16));
-  cache.get_or_build(key_for(192, 16, hash_), builder_for(192, 16));
+  cache.get_or_build(key_for(64, 16));
+  cache.get_or_build(key_for(192, 16));
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().size, 2u);
   // 64 must still be resident (hit), 128 must rebuild (miss).
   bool hit = false;
-  cache.get_or_build(key_for(64, 16, hash_), builder_for(64, 16), &hit);
+  cache.get_or_build(key_for(64, 16), &hit);
   EXPECT_TRUE(hit);
-  cache.get_or_build(key_for(128, 16, hash_), builder_for(128, 16), &hit);
+  cache.get_or_build(key_for(128, 16), &hit);
   EXPECT_FALSE(hit);
 }
 
-TEST_F(PlanCacheTest, EvictionKeepsLeasedEntryAlive) {
+TEST(PlanCacheTest, EvictionKeepsLeasedEntryAlive) {
   PlanCache cache(1);
-  auto held = cache.get_or_build(key_for(64, 16, hash_), builder_for(64, 16));
-  cache.get_or_build(key_for(128, 16, hash_), builder_for(128, 16));
+  auto held = cache.get_or_build(key_for(64, 16));
+  cache.get_or_build(key_for(128, 16));
   EXPECT_EQ(cache.stats().evictions, 1u);
   // The evicted entry is still usable through our shared_ptr.
-  EXPECT_GT(held->graph.size(), 0u);
-  EXPECT_EQ(held->plan.mt(), 4);
+  EXPECT_EQ(held->size(),
+            dag::build_tiled_qr_graph(4, 4, dag::Elimination::kTt).size());
 }
 
-TEST_F(PlanCacheTest, PlatformHashSeparatesConfigs) {
+TEST(PlanCacheTest, EliminationSeparatesEntries) {
   PlanCache cache(8);
-  auto a = cache.get_or_build(key_for(64, 16, hash_), builder_for(64, 16));
-  const auto other = platform_fingerprint(sim::paper_platform_with_gpus(0));
-  ASSERT_NE(other, hash_);
+  auto ts = cache.get_or_build(key_for(64, 16, dag::Elimination::kTs));
   bool hit = true;
-  cache.get_or_build(key_for(64, 16, other), builder_for(64, 16), &hit);
+  auto tt = cache.get_or_build(key_for(64, 16, dag::Elimination::kTt), &hit);
   EXPECT_FALSE(hit);
+  EXPECT_NE(ts.get(), tt.get());
   EXPECT_EQ(cache.stats().size, 2u);
+  // Each entry holds the graph of its own elimination tree.
+  EXPECT_EQ(ts->size(),
+            dag::build_tiled_qr_graph(4, 4, dag::Elimination::kTs).size());
+  EXPECT_EQ(tt->size(),
+            dag::build_tiled_qr_graph(4, 4, dag::Elimination::kTt).size());
+  EXPECT_NE(ts->size(), tt->size());
 }
 
-TEST_F(PlanCacheTest, ClearEmptiesButKeepsCounters) {
+TEST(PlanCacheTest, ClearEmptiesButKeepsCounters) {
   PlanCache cache(4);
-  cache.get_or_build(key_for(64, 16, hash_), builder_for(64, 16));
+  cache.get_or_build(key_for(64, 16));
   cache.clear();
   EXPECT_EQ(cache.stats().size, 0u);
   EXPECT_EQ(cache.stats().misses, 1u);
 }
 
-TEST_F(PlanCacheTest, ZeroCapacityRejected) {
+TEST(PlanCacheTest, ZeroCapacityRejected) {
   EXPECT_THROW(PlanCache{0}, tqr::InvalidArgument);
 }
 
-TEST_F(PlanCacheTest, ConcurrentSameKeyConvergesToOneEntry) {
+TEST(PlanCacheTest, ConcurrentSameKeyConvergesToOneEntry) {
   PlanCache cache(4);
   constexpr int kThreads = 8;
-  std::vector<std::shared_ptr<const PlanEntry>> got(kThreads);
+  std::vector<std::shared_ptr<const dag::TaskGraph>> got(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&, t] {
-      got[t] = cache.get_or_build(key_for(64, 16, hash_),
-                                  builder_for(64, 16));
-    });
+    threads.emplace_back(
+        [&, t] { got[t] = cache.get_or_build(key_for(64, 16)); });
   for (auto& t : threads) t.join();
   // Races may build more than once, but every caller must end up sharing
   // the single inserted entry.

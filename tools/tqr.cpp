@@ -488,7 +488,6 @@ int cmd_serve(int argc, char** argv) {
   cli.flag("ib", "factor-kernel inner blocking (0 = library default)", "0");
   cli.flag("precision", "kernel precision for every job: fp64|fp32", "fp64");
   cli.flag("elim", "elimination: ts|tt|ttflat|hier", "tt");
-  cli.flag("gpus", "GPUs in the modeled node (0-3)", "3");
   cli.flag("queue", "job queue capacity", "64");
   cli.flag("admission", "block|reject", "block");
   cli.flag("queue-deadline-ms", "expire jobs queued longer than this (0=off)",
@@ -549,7 +548,6 @@ int cmd_serve(int argc, char** argv) {
   config.lanes = static_cast<int>(cli.get_int("lanes", 2));
   config.default_tile = static_cast<int>(checked_dim(cli, "tile", 16));
   config.inner_block = checked_ib(cli);
-  config.gpus = static_cast<int>(cli.get_int("gpus", 3));
   config.quarantine_after =
       static_cast<int>(cli.get_int("quarantine-after", 0));
   config.probation_s = cli.get_double("probation-ms", 0) * 1e-3;
