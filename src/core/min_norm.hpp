@@ -16,7 +16,7 @@ namespace tqr::core {
 template <typename T>
 la::Matrix<T> min_norm_solve(const la::Matrix<T>& a, const la::Matrix<T>& b,
                              int tile_size,
-                             dag::Elimination elim = dag::Elimination::kTt) {
+                             dag::Elimination elim = dag::Elimination::kTs) {
   TQR_REQUIRE(a.rows() < a.cols(),
               "min_norm_solve expects a wide matrix; use solve() otherwise");
   TQR_REQUIRE(b.rows() == a.rows(), "min_norm_solve: rhs row mismatch");

@@ -48,8 +48,10 @@ TiledQrFactorization<T> TiledQrFactorization<T>::factor(
   la::TiledMatrix<T> tiles = la::TiledMatrix<T>::from_dense(a, b);
   la::TiledMatrix<T> tg(tiles.rows(), tiles.cols(), b);
   la::TiledMatrix<T> te(tiles.rows(), tiles.cols(), b);
+  const dag::Elimination elim =
+      options.plan ? options.plan->config().elim : options.elim;
   dag::TaskGraph graph = dag::build_tiled_qr_graph(
-      tiles.tile_rows(), tiles.tile_cols(), options.elim,
+      tiles.tile_rows(), tiles.tile_cols(), elim,
       options.plan ? options.plan->hier_groups() : options.hier_groups);
 
   if (options.plan == nullptr) {
@@ -86,8 +88,8 @@ TiledQrFactorization<T> TiledQrFactorization<T>::factor(
         exec_opts);
   }
   return TiledQrFactorization<T>(std::move(tiles), std::move(tg),
-                                 std::move(te), std::move(graph),
-                                 options.elim, options.inner_block);
+                                 std::move(te), std::move(graph), elim,
+                                 options.inner_block);
 }
 
 template <typename T>

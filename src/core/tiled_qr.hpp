@@ -45,7 +45,10 @@ template <typename T>
 class TiledQrFactorization {
  public:
   struct Options {
-    dag::Elimination elim = dag::Elimination::kTt;
+    /// Elimination tree of the host run (TS by default, like svc::JobSpec).
+    /// A plan-routed run executes the tree its plan was built for
+    /// (plan->config().elim), so host and modeled schedules stay one graph.
+    dag::Elimination elim = dag::Elimination::kTs;
     /// Row groups for Elimination::kHier (0 = single group when no plan is
     /// given; with a plan the plan's resolved group count wins).
     std::int32_t hier_groups = 0;
@@ -116,7 +119,7 @@ class TiledQrFactorization {
 /// One-call convenience: QR-based least-squares solve of A x = b.
 template <typename T>
 la::Matrix<T> qr_solve(const la::Matrix<T>& a, const la::Matrix<T>& b, int
-                       tile_size, dag::Elimination elim = dag::Elimination::kTt);
+                       tile_size, dag::Elimination elim = dag::Elimination::kTs);
 
 /// Outcome of qr_solve_mixed: the fp64 solution plus convergence
 /// diagnostics, so callers can tell whether the cheap factorization was
@@ -143,7 +146,7 @@ struct MixedSolveResult {
 /// factor kernels (0 = library default).
 MixedSolveResult qr_solve_mixed(const la::Matrix<double>& a,
                                 const la::Matrix<double>& b, int tile_size,
-                                dag::Elimination elim = dag::Elimination::kTt,
+                                dag::Elimination elim = dag::Elimination::kTs,
                                 int max_iterations = 8, double tolerance = 0,
                                 la::index_t inner_block = 0);
 

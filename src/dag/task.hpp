@@ -122,9 +122,16 @@ inline std::string to_string(const Task& t) {
 
 /// Elimination strategy:
 ///   kTs     - flat reduction against the panel diagonal with TS kernels
-///             (PLASMA default; minimal kernel count, O(M) chain)
+///             (PLASMA default; minimal kernel count, O(M) chain) — the
+///             default of every path that executes on the host (svc::JobSpec,
+///             core::TiledQrFactorization, tqr factor/solve/serve): the TS
+///             kernels do the least work, and a multicore host already finds
+///             enough parallelism in the flat tree
 ///   kTt     - binary tree of triangle-on-triangle combines (the paper's
-///             Table I bookkeeping; O(log M) chain) — library default
+///             Table I bookkeeping; O(log M) chain) — the default of the
+///             paths that model the paper's CPU + 3-GPU node (core::PlanConfig,
+///             core/autotune, tqr simulate/plan, the ablation and cluster
+///             simulations), where it shortens the main device's chain
 ///   kTtFlat - every tile triangulated, then folded sequentially into the
 ///             diagonal with TT kernels (cheap combines, O(M) chain;
 ///             locality-friendly middle ground)

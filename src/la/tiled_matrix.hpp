@@ -11,6 +11,7 @@
 // pad so QR of the padded matrix restricts to QR of the original).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "la/matrix.hpp"
@@ -68,7 +69,24 @@ class TiledMatrix {
     return static_cast<std::size_t>(b_) * b_ * sizeof(T);
   }
 
-  /// Element access across tile boundaries (slow; for tests/conversion).
+  /// The whole tile-major buffer (rows * cols elements, tile (i, j) at
+  /// tile_data(i, j)). Two tiled matrices of one shape share this layout
+  /// whatever their element type, so element-wise maps are one flat loop.
+  T* data() { return data_.data(); }
+  const T* data() const { return data_.data(); }
+  std::size_t size() const { return data_.size(); }
+
+  /// Column j, rows [i0, i0 + min(b, rows - i0)), of the tile holding
+  /// element (i0, j); i0 must be a multiple of the tile size. Contiguous.
+  T* column_segment(index_t i0, index_t j) {
+    return tile_data(i0 / b_, j / b_) + static_cast<std::size_t>(j % b_) * b_;
+  }
+  const T* column_segment(index_t i0, index_t j) const {
+    return tile_data(i0 / b_, j / b_) + static_cast<std::size_t>(j % b_) * b_;
+  }
+
+  /// Element access across tile boundaries (slow: a div and a mod per call;
+  /// for tests and scattered single elements — bulk moves go tile-wise).
   T& at(index_t i, index_t j) {
     return tile(i / b_, j / b_)(i % b_, j % b_);
   }
@@ -81,11 +99,13 @@ class TiledMatrix {
   /// corrupted factor data can never leak into a later lease.
   void fill(T value) { std::fill(data_.begin(), data_.end(), value); }
 
-  /// Conversion from/to dense column-major layout.
+  /// Conversion from/to dense column-major layout, one contiguous
+  /// b-element column segment at a time.
   static TiledMatrix from_dense(ConstMatrixView<T> a, index_t b) {
     TiledMatrix t(a.rows, a.cols, b);
     for (index_t j = 0; j < a.cols; ++j)
-      for (index_t i = 0; i < a.rows; ++i) t.at(i, j) = a(i, j);
+      for (index_t i0 = 0; i0 < a.rows; i0 += b)
+        std::copy_n(&a(i0, j), b, t.column_segment(i0, j));
     return t;
   }
   static TiledMatrix from_dense(const Matrix<T>& a, index_t b) {
@@ -95,7 +115,8 @@ class TiledMatrix {
   Matrix<T> to_dense() const {
     Matrix<T> a(rows_, cols_);
     for (index_t j = 0; j < cols_; ++j)
-      for (index_t i = 0; i < rows_; ++i) a(i, j) = at(i, j);
+      for (index_t i0 = 0; i0 < rows_; i0 += b_)
+        std::copy_n(column_segment(i0, j), b_, &a(i0, j));
     return a;
   }
 
@@ -121,6 +142,53 @@ Matrix<T> pad_to_tiles(ConstMatrixView<T> a, index_t b) {
   for (index_t d = 0; d + a.cols < pc && d + a.rows < pr; ++d)
     p(a.rows + d, a.cols + d) = T(1);
   return p;
+}
+
+/// Loads `src` into `dst` with pad_to_tiles semantics: `src` in the leading
+/// block, zeros elsewhere, and the identity diagonal on the pad. Writes every
+/// element of `dst`, so recycled (uncleared) storage is safe to load into.
+/// Moves whole column segments, so the cost is one pass over `dst`.
+template <typename T>
+void load_padded(TiledMatrix<T>& dst, ConstMatrixView<T> src) {
+  TQR_REQUIRE(src.rows <= dst.rows() && src.cols <= dst.cols(),
+              "load_padded: source larger than the tile grid");
+  const index_t b = dst.tile_size();
+  for (index_t j = 0; j < dst.cols(); ++j)
+    for (index_t i0 = 0; i0 < dst.rows(); i0 += b) {
+      T* seg = dst.column_segment(i0, j);
+      const index_t n =
+          j < src.cols ? std::clamp<index_t>(src.rows - i0, 0, b) : 0;
+      if (n > 0) std::copy_n(&src(i0, j), n, seg);
+      std::fill(seg + n, seg + b, T(0));
+    }
+  for (index_t d = 0; d + src.cols < dst.cols() && d + src.rows < dst.rows();
+       ++d)
+    dst.at(src.rows + d, src.cols + d) = T(1);
+}
+
+/// The n x n upper triangle of `a`'s leading block (zeros below the
+/// diagonal): R of a factored tile grid. n <= min(rows, cols).
+template <typename T>
+Matrix<T> upper_triangle(const TiledMatrix<T>& a, index_t n) {
+  TQR_REQUIRE(n >= 0 && n <= a.rows() && n <= a.cols(),
+              "upper_triangle: n exceeds the tile grid");
+  Matrix<T> r(n, n);
+  const index_t b = a.tile_size();
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i0 = 0; i0 <= j; i0 += b)
+      std::copy_n(a.column_segment(i0, j), std::min(b, j + 1 - i0), &r(i0, j));
+  return r;
+}
+
+/// dst(i, j) = D(src(i, j)) over two tile grids of one shape: one flat pass,
+/// since both share the tile-major layout.
+template <typename D, typename S>
+void convert(const TiledMatrix<S>& src, TiledMatrix<D>& dst) {
+  TQR_REQUIRE(src.rows() == dst.rows() && src.cols() == dst.cols() &&
+                  src.tile_size() == dst.tile_size(),
+              "convert: tile grids differ in shape");
+  std::transform(src.data(), src.data() + src.size(), dst.data(),
+                 [](S v) { return static_cast<D>(v); });
 }
 
 }  // namespace tqr::la

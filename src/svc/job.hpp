@@ -96,7 +96,12 @@ struct JobSpec {
   la::Matrix<double> a;
   /// Tile size; 0 means the service default.
   int tile_size = 0;
-  dag::Elimination elim = dag::Elimination::kTt;
+  /// Elimination tree. TS by default: on a multicore host the flat tree
+  /// already exposes enough parallelism, and its TS kernels take well under
+  /// half the TT tree's kernel time on every grid with two or more tile
+  /// columns (EXPERIMENTS.md has the measured crossover). Any explicit value
+  /// runs exactly that tree.
+  dag::Elimination elim = dag::Elimination::kTs;
   /// Max seconds the job may wait in the queue before a lane starts it;
   /// 0 disables the deadline. Expired jobs complete with kExpired and are
   /// never factored.

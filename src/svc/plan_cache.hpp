@@ -22,11 +22,13 @@
 namespace tqr::svc {
 
 /// Identity of a cacheable request: everything the task graph depends on.
+/// No member defaults: every field comes from the job, so the default
+/// elimination lives in one place (JobSpec::elim).
 struct PlanKey {
-  la::index_t rows = 0;  // padded (tile-aligned) dimensions
-  la::index_t cols = 0;
-  int tile_size = 0;
-  dag::Elimination elim = dag::Elimination::kTt;
+  la::index_t rows;  // padded (tile-aligned) dimensions
+  la::index_t cols;
+  int tile_size;
+  dag::Elimination elim;
 
   bool operator==(const PlanKey&) const = default;
 };

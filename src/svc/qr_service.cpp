@@ -18,18 +18,18 @@ namespace tqr::svc {
 
 namespace {
 
-/// Loads `src` into the tile storage with pad_to_tiles semantics: the pad
-/// block gets an identity diagonal so the padded matrix stays full-rank and
-/// its QR restricts to QR of `src`. Every element of `dst` is written, which
-/// is what makes recycled (uncleared) workspaces safe.
-void load_padded(la::TiledMatrix<double>& dst,
-                 la::ConstMatrixView<double> src) {
-  const la::index_t pr = dst.rows(), pc = dst.cols();
-  for (la::index_t j = 0; j < pc; ++j)
-    for (la::index_t i = 0; i < pr; ++i)
-      dst.at(i, j) = (i < src.rows && j < src.cols) ? src(i, j) : 0.0;
-  for (la::index_t d = 0; d + src.cols < pc && d + src.rows < pr; ++d)
-    dst.at(src.rows + d, src.cols + d) = 1.0;
+/// Sum of squares of rows [0, rows) of column j, accumulated in row order
+/// one contiguous tile-column segment at a time.
+double column_sumsq(const la::TiledMatrix<double>& t, la::index_t j,
+                    la::index_t rows) {
+  const la::index_t b = t.tile_size();
+  double s = 0;
+  for (la::index_t i0 = 0; i0 < rows; i0 += b) {
+    const double* seg = t.column_segment(i0, j);
+    const la::index_t n = std::min(b, rows - i0);
+    for (la::index_t i = 0; i < n; ++i) s += seg[i] * seg[i];
+  }
+  return s;
 }
 
 la::index_t round_up(la::index_t n, la::index_t b) {
@@ -625,7 +625,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
   // job's retry).
   WorkspacePool::Lease ws = workspace_pool_.acquire(pr, pc, b);
   ws.scrub_on_release(true);
-  load_padded(ws->a, a.view());
+  la::load_padded(ws->a, a.view());
 
   // fp32 jobs factor into dedicated float planes (the pooled workspace is
   // fp64) and the factored planes are widened back into the lease after
@@ -641,9 +641,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
         FloatPlanes{la::TiledMatrix<float>(pr, pc, b),
                     la::TiledMatrix<float>(pr, pc, b),
                     la::TiledMatrix<float>(pr, pc, b)});
-    for (la::index_t j = 0; j < pc; ++j)
-      for (la::index_t i = 0; i < pr; ++i)
-        f32->a.at(i, j) = static_cast<float>(ws->a.at(i, j));
+    la::convert(ws->a, f32->a);
   }
 
   const Verify verify = job.spec.verify;
@@ -657,11 +655,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
     col_norm.resize(static_cast<std::size_t>(pc));
     double fro2 = 0;
     for (la::index_t j = 0; j < pc; ++j) {
-      double col2 = 0;
-      for (la::index_t i = 0; i < pr; ++i) {
-        const double v = ws->a.at(i, j);
-        col2 += v * v;
-      }
+      const double col2 = column_sumsq(ws->a, j, pr);
       col_norm[static_cast<std::size_t>(j)] = std::sqrt(col2);
       fro2 += col2;
     }
@@ -800,12 +794,9 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
   if (fp32) {
     // Widen the factored planes back into the pooled workspace (exactly);
     // extraction and verification below run unchanged against the lease.
-    for (la::index_t j = 0; j < pc; ++j)
-      for (la::index_t i = 0; i < pr; ++i) {
-        ws->a.at(i, j) = static_cast<double>(f32->a.at(i, j));
-        ws->tg.at(i, j) = static_cast<double>(f32->tg.at(i, j));
-        ws->te.at(i, j) = static_cast<double>(f32->te.at(i, j));
-      }
+    la::convert(f32->a, ws->a);
+    la::convert(f32->tg, ws->tg);
+    la::convert(f32->te, ws->te);
   }
   if (trace_)
     obs::append_task_events(*trace_, task_trace.events(), *graph, b,
@@ -814,10 +805,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
 
   // Extract the caller-shaped R (leading block; identity padding keeps it
   // equal to R of the unpadded matrix).
-  const la::index_t n = a.cols();
-  result.r = la::Matrix<double>(n, n);
-  for (la::index_t j = 0; j < n; ++j)
-    for (la::index_t i = 0; i <= j; ++i) result.r(i, j) = ws->a.at(i, j);
+  result.r = la::upper_triangle(ws->a, a.cols());
 
   const double tol = fp32 ? la::verify_tolerance<float>(std::max(pr, pc))
                           : la::verify_tolerance<double>(std::max(pr, pc));
@@ -829,11 +817,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
     // per-task scans still fails.
     double worst = 0;
     for (la::index_t j = 0; j < pc; ++j) {
-      double col2 = 0;
-      for (la::index_t i = 0; i <= j && i < pr; ++i) {
-        const double v = ws->a.at(i, j);
-        col2 += v * v;
-      }
+      const double col2 = column_sumsq(ws->a, j, std::min(j + 1, pr));
       worst = std::max(
           worst,
           std::abs(std::sqrt(col2) - col_norm[static_cast<std::size_t>(j)]));

@@ -192,18 +192,45 @@ TEST(TiledQr, FloatPrecisionFactorization) {
             la::residual_tolerance<float>(n));
 }
 
+TEST(TiledQr, HostDefaultEliminationIsTs) {
+  EXPECT_EQ(TiledQrFactorization<double>::Options{}.elim,
+            dag::Elimination::kTs);
+  EXPECT_EQ(TiledQrFactorization<float>::Options{}.elim,
+            dag::Elimination::kTs);
+  // The modeled node keeps the paper's tree.
+  EXPECT_EQ(PlanConfig{}.elim, dag::Elimination::kTt);
+}
+
+TEST(TiledQr, PlanRoutedRunExecutesThePlansTree) {
+  const int n = 32, b = 8;
+  auto a = Matrix<double>::random(n, n, 62);
+  const sim::Platform platform = sim::paper_platform();
+  PlanConfig pc;
+  pc.tile_size = b;
+  Plan plan(platform, n / b, n / b, pc);
+  typename TiledQrFactorization<double>::Options opts;
+  opts.plan = &plan;
+  auto f = TiledQrFactorization<double>::factor(a, b, opts);
+  EXPECT_EQ(f.elimination(), pc.elim);
+  EXPECT_EQ(f.graph().size(),
+            dag::build_tiled_qr_graph(n / b, n / b, pc.elim).size());
+}
+
 TEST(TiledQr, ParallelExecutionMatchesSequentialBitwise) {
   // The DAG enforces all orderings that matter; a threaded run over the
   // plan's routing must produce the exact same factors as sequential replay.
   const int n = 48, b = 8;
   auto a = Matrix<double>::random(n, n, 60);
 
-  auto f_seq = TiledQrFactorization<double>::factor(a, b);
-
   const sim::Platform platform = sim::paper_platform();
   PlanConfig pc;
   pc.tile_size = b;
   Plan plan(platform, n / b, n / b, pc);
+
+  // The plan-routed run executes the plan's tree; replay the same one.
+  typename TiledQrFactorization<double>::Options seq_opts;
+  seq_opts.elim = pc.elim;
+  auto f_seq = TiledQrFactorization<double>::factor(a, b, seq_opts);
   typename TiledQrFactorization<double>::Options opts;
   opts.plan = &plan;
   opts.threads_per_device = 2;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 namespace tqr::la {
 namespace {
 
@@ -76,6 +79,149 @@ TEST(PadToTiles, PadsUpAndEmbedsIdentity) {
   EXPECT_EQ(p(0, 7), 0.0);
   EXPECT_EQ(p(7, 0), 0.0);
 }
+
+// ---- Tile-wise pack/unpack against element-wise references ----------------
+//
+// Each reference is the one-at()-per-element loop the tile-wise helper
+// replaced; the helpers must reproduce it bit for bit, pad included.
+
+struct Ragged {
+  index_t rows, cols, b;
+};
+
+void PrintTo(const Ragged& s, std::ostream* os) {
+  *os << s.rows << "x" << s.cols << " b=" << s.b;
+}
+
+class TiledPack : public ::testing::TestWithParam<Ragged> {
+ protected:
+  /// Random input with a negative zero and a subnormal planted, so a
+  /// value-preserving but bit-changing copy would show.
+  Matrix<double> input() const {
+    const Ragged s = GetParam();
+    Matrix<double> a = Matrix<double>::random(s.rows, s.cols, 41);
+    a(0, 0) = -0.0;
+    a(s.rows - 1, s.cols - 1) = std::numeric_limits<double>::denorm_min();
+    return a;
+  }
+  index_t padded(index_t n) const {
+    const index_t b = GetParam().b;
+    return (n + b - 1) / b * b;
+  }
+};
+
+template <typename T>
+bool same_bits(const TiledMatrix<T>& x, const TiledMatrix<T>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
+}
+
+template <typename T>
+bool same_bits(const Matrix<T>& x, const Matrix<T>& y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
+  for (index_t j = 0; j < x.cols(); ++j)
+    for (index_t i = 0; i < x.rows(); ++i)
+      if (std::memcmp(&x(i, j), &y(i, j), sizeof(T)) != 0) return false;
+  return true;
+}
+
+TEST_P(TiledPack, LoadPaddedMatchesElementwiseIntoDirtyStorage) {
+  const Matrix<double> a = input();
+  const index_t pr = padded(a.rows()), pc = padded(a.cols());
+  const index_t b = GetParam().b;
+
+  TiledMatrix<double> ref(pr, pc, b);
+  for (index_t j = 0; j < pc; ++j)
+    for (index_t i = 0; i < pr; ++i)
+      ref.at(i, j) = (i < a.rows() && j < a.cols()) ? a(i, j) : 0.0;
+  for (index_t d = 0; d + a.cols() < pc && d + a.rows() < pr; ++d)
+    ref.at(a.rows() + d, a.cols() + d) = 1.0;
+
+  // A recycled workspace: every element must be overwritten.
+  TiledMatrix<double> got(pr, pc, b);
+  got.fill(std::numeric_limits<double>::quiet_NaN());
+  load_padded(got, a.view());
+  EXPECT_TRUE(same_bits(got, ref));
+
+  // The padded grid is exactly pad_to_tiles' dense matrix.
+  const Matrix<double> dense = pad_to_tiles<double>(a.view(), b);
+  EXPECT_TRUE(same_bits(got.to_dense(), dense));
+}
+
+TEST_P(TiledPack, UpperTriangleMatchesElementwise) {
+  const Matrix<double> a = input();
+  const index_t b = GetParam().b;
+  TiledMatrix<double> t(padded(a.rows()), padded(a.cols()), b);
+  load_padded(t, a.view());
+  for (index_t n : {a.cols(), t.cols()}) {
+    Matrix<double> ref(n, n);
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i <= j; ++i) ref(i, j) = t.at(i, j);
+    EXPECT_TRUE(same_bits(upper_triangle(t, n), ref)) << "n = " << n;
+  }
+}
+
+TEST_P(TiledPack, DenseConversionsMatchElementwise) {
+  const index_t b = GetParam().b;
+  const Matrix<double> dense =
+      pad_to_tiles<double>(input().view(), b);  // tile-aligned
+  TiledMatrix<double> ref(dense.rows(), dense.cols(), b);
+  for (index_t j = 0; j < dense.cols(); ++j)
+    for (index_t i = 0; i < dense.rows(); ++i) ref.at(i, j) = dense(i, j);
+  const TiledMatrix<double> got = TiledMatrix<double>::from_dense(dense, b);
+  EXPECT_TRUE(same_bits(got, ref));
+
+  Matrix<double> back_ref(dense.rows(), dense.cols());
+  for (index_t j = 0; j < dense.cols(); ++j)
+    for (index_t i = 0; i < dense.rows(); ++i) back_ref(i, j) = ref.at(i, j);
+  EXPECT_TRUE(same_bits(got.to_dense(), back_ref));
+}
+
+TEST_P(TiledPack, PrecisionConversionMatchesElementwise) {
+  const Matrix<double> a = input();
+  const index_t b = GetParam().b;
+  TiledMatrix<double> wide(padded(a.rows()), padded(a.cols()), b);
+  load_padded(wide, a.view());
+
+  TiledMatrix<float> narrow_ref(wide.rows(), wide.cols(), b);
+  for (index_t j = 0; j < wide.cols(); ++j)
+    for (index_t i = 0; i < wide.rows(); ++i)
+      narrow_ref.at(i, j) = static_cast<float>(wide.at(i, j));
+  TiledMatrix<float> narrow(wide.rows(), wide.cols(), b);
+  convert(wide, narrow);
+  EXPECT_TRUE(same_bits(narrow, narrow_ref));
+
+  TiledMatrix<double> widen_ref(wide.rows(), wide.cols(), b);
+  for (index_t j = 0; j < wide.cols(); ++j)
+    for (index_t i = 0; i < wide.rows(); ++i)
+      widen_ref.at(i, j) = static_cast<double>(narrow.at(i, j));
+  TiledMatrix<double> widened(wide.rows(), wide.cols(), b);
+  widened.fill(std::numeric_limits<double>::quiet_NaN());
+  convert(narrow, widened);
+  EXPECT_TRUE(same_bits(widened, widen_ref));
+
+  TiledMatrix<float> other_shape(wide.rows() + b, wide.cols(), b);
+  EXPECT_THROW(convert(wide, other_shape), InvalidArgument);
+}
+
+TEST(TiledPack, LoadPaddedRejectsOversizedSource) {
+  TiledMatrix<double> t(8, 8, 4);
+  const Matrix<double> big(9, 8);
+  EXPECT_THROW(load_padded(t, big.view()), InvalidArgument);
+}
+
+// Ragged shapes: row pad only, column pad only, both, one tile, a tall
+// multi-tile-column grid, and an exactly tile-aligned control.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, TiledPack,
+    ::testing::Values(Ragged{13, 7, 4}, Ragged{16, 13, 4}, Ragged{17, 16, 4},
+                      Ragged{5, 5, 8}, Ragged{130, 130, 64},
+                      Ragged{1000, 300, 128}, Ragged{64, 64, 16}),
+    [](const ::testing::TestParamInfo<Ragged>& info) {
+      return std::to_string(info.param.rows) + "x" +
+             std::to_string(info.param.cols) + "_b" +
+             std::to_string(info.param.b);
+    });
 
 }  // namespace
 }  // namespace tqr::la

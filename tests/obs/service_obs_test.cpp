@@ -63,9 +63,9 @@ TEST(ServiceObs, TraceParsesBackWithLifecycleAndKernelSpans) {
   }
   EXPECT_EQ(queued, 4);
   EXPECT_EQ(jobs, 4);
-  // 64x64 at the default tile 16 is a 4x4 grid; TT elimination (the spec
-  // default) triangulates every panel tile: 4+3+2+1 = 10 GEQRTs per job.
-  EXPECT_EQ(kernels, 40);
+  // 64x64 at the default tile 16 is a 4x4 grid; TS elimination (the spec
+  // default) triangulates only each panel's diagonal tile: 4 GEQRTs per job.
+  EXPECT_EQ(kernels, 16);
   EXPECT_GE(counters, 4);  // a queue-depth sample per submit at minimum
   EXPECT_GT(meta, 0);
 }

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <future>
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/tiled_qr.hpp"
+#include "dag/tiled_qr_dag.hpp"
+#include "la/blas.hpp"
 #include "la/checks.hpp"
 #include "la/matrix.hpp"
+#include "la/tiled_matrix.hpp"
 
 namespace tqr::svc {
 namespace {
@@ -185,6 +190,12 @@ TEST(QrService, InvalidConfigRejected) {
   EXPECT_THROW(QrService{bad_tile}, tqr::InvalidArgument);
 }
 
+TEST(QrService, DefaultEliminationIsTs) {
+  // The host-native default: the TS tree's kernels do the least work, and
+  // the executor finds enough parallelism in the flat chain.
+  EXPECT_EQ(JobSpec{}.elim, dag::Elimination::kTs);
+}
+
 TEST(QrService, TsEliminationJobsWork) {
   QrService service;
   JobSpec spec = spec_for(128, 128, 70, true);
@@ -267,6 +278,128 @@ TEST(QrService, TraceRecordsConfiguredInnerBlock) {
   const std::string json = service.trace_json();
   EXPECT_NE(json.find("\"ib\":8"), std::string::npos) << json.substr(0, 400);
 }
+
+// ---- Ragged shapes, both precisions, default and explicit trees ----------
+
+struct RaggedJob {
+  la::index_t rows, cols;
+  int tile;
+  Precision precision;
+};
+
+void PrintTo(const RaggedJob& p, std::ostream* os) {
+  *os << p.rows << "x" << p.cols << " b=" << p.tile << " "
+      << to_string(p.precision);
+}
+
+class ServiceRagged : public ::testing::TestWithParam<RaggedJob> {
+ protected:
+  JobSpec spec() const {
+    const RaggedJob& p = GetParam();
+    JobSpec s;
+    s.a = la::Matrix<double>::random(p.rows, p.cols, 500 + p.rows);
+    s.tile_size = p.tile;
+    s.precision = p.precision;
+    return s;
+  }
+  double tolerance() const {
+    const la::index_t n = std::max(GetParam().rows, GetParam().cols);
+    return GetParam().precision == Precision::kFp32
+               ? la::verify_tolerance<float>(n)
+               : la::verify_tolerance<double>(n);
+  }
+};
+
+/// ||R^T R - A^T A||_F / ||A||_F^2: R is a QR factor of A up to row signs.
+double gram_residual(const la::Matrix<double>& a,
+                     const la::Matrix<double>& r) {
+  la::Matrix<double> g(a.cols(), a.cols());
+  la::gemm<double>(la::Trans::kTrans, la::Trans::kNoTrans, 1.0, a.view(),
+                   a.view(), 0.0, g.view());
+  la::gemm<double>(la::Trans::kTrans, la::Trans::kNoTrans, -1.0, r.view(),
+                   r.view(), 1.0, g.view());
+  const double an = la::norm_frobenius<double>(a.view());
+  return la::norm_frobenius<double>(g.view()) / (an * an);
+}
+
+/// R of `a` by a sequential, element-wise replay of `elim`'s task graph:
+/// pad_to_tiles, one at() per element in and out, tasks in graph order, the
+/// service's default inner block. Schedule-independent numerics make this
+/// the R any service run of the same tree must return bit for bit.
+template <typename T>
+la::Matrix<double> replay_r(const la::Matrix<double>& a, int b,
+                            dag::Elimination elim) {
+  const la::Matrix<double> p = la::pad_to_tiles<double>(a.view(), b);
+  la::TiledMatrix<T> t(p.rows(), p.cols(), b), tg(p.rows(), p.cols(), b),
+      te(p.rows(), p.cols(), b);
+  for (la::index_t j = 0; j < p.cols(); ++j)
+    for (la::index_t i = 0; i < p.rows(); ++i)
+      t.at(i, j) = static_cast<T>(p(i, j));
+  const dag::TaskGraph graph =
+      dag::build_tiled_qr_graph(t.tile_rows(), t.tile_cols(), elim);
+  for (const dag::Task& task : graph.tasks())
+    core::execute_task<T>(task, t, tg, te, ServiceConfig{}.inner_block);
+  la::Matrix<double> r(a.cols(), a.cols());
+  for (la::index_t j = 0; j < a.cols(); ++j)
+    for (la::index_t i = 0; i <= j; ++i)
+      r(i, j) = static_cast<double>(t.at(i, j));
+  return r;
+}
+
+la::Matrix<double> replay_r(const RaggedJob& p, const la::Matrix<double>& a,
+                            dag::Elimination elim) {
+  return p.precision == Precision::kFp32 ? replay_r<float>(a, p.tile, elim)
+                                         : replay_r<double>(a, p.tile, elim);
+}
+
+bool same_bits(const la::Matrix<double>& x, const la::Matrix<double>& y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
+  for (la::index_t j = 0; j < x.cols(); ++j)
+    for (la::index_t i = 0; i < x.rows(); ++i)
+      if (std::memcmp(&x(i, j), &y(i, j), sizeof(double)) != 0) return false;
+  return true;
+}
+
+TEST_P(ServiceRagged, DefaultEliminationPassesGramCheck) {
+  QrService service;
+  JobSpec s = spec();
+  s.verify = Verify::kScan;  // runs the tile-wise column-norm pass too
+  const la::Matrix<double> a = s.a;
+  const JobResult result = service.submit(std::move(s)).get();
+  ASSERT_EQ(result.status, JobStatus::kOk) << result.error;
+  ASSERT_EQ(result.r.rows(), a.cols());
+  EXPECT_TRUE(upper_triangular(result.r));
+  EXPECT_LE(gram_residual(a, result.r), tolerance());
+  EXPECT_TRUE(same_bits(result.r, replay_r(GetParam(), a,
+                                           dag::Elimination::kTs)));
+}
+
+TEST_P(ServiceRagged, ExplicitTtJobReturnsTheTtTreesR) {
+  QrService service;
+  JobSpec s = spec();
+  s.elim = dag::Elimination::kTt;
+  const la::Matrix<double> a = s.a;
+  const JobResult result = service.submit(std::move(s)).get();
+  ASSERT_EQ(result.status, JobStatus::kOk) << result.error;
+  EXPECT_TRUE(same_bits(result.r, replay_r(GetParam(), a,
+                                           dag::Elimination::kTt)));
+  EXPECT_LE(gram_residual(a, result.r), tolerance());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ServiceRagged,
+    ::testing::Values(RaggedJob{1000, 300, 128, Precision::kFp64},
+                      RaggedJob{1000, 300, 128, Precision::kFp32},
+                      RaggedJob{130, 130, 64, Precision::kFp64},
+                      RaggedJob{130, 130, 64, Precision::kFp32},
+                      RaggedJob{8192, 256, 128, Precision::kFp64},
+                      RaggedJob{8192, 256, 128, Precision::kFp32}),
+    [](const ::testing::TestParamInfo<RaggedJob>& info) {
+      return std::to_string(info.param.rows) + "x" +
+             std::to_string(info.param.cols) + "_b" +
+             std::to_string(info.param.tile) + "_" +
+             to_string(info.param.precision);
+    });
 
 }  // namespace
 }  // namespace tqr::svc

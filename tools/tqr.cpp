@@ -1,7 +1,7 @@
 // tqr — command-line front end to the tiledqr library.
 //
 //   tqr gen      --out A.mtx --rows 512 --cols 512 [--class uniform] [--seed 1]
-//   tqr factor   --in A.mtx [--tile 16] [--elim tt] [--q Q.bin] [--r R.mtx]
+//   tqr factor   --in A.mtx [--tile 16] [--elim ts] [--q Q.bin] [--r R.mtx]
 //   tqr solve    --in A.mtx --rhs b.mtx --out x.mtx [--tile 16] [--refine 1]
 //                (or --batch N --rows 16 --cols 16 for the batched engine)
 //   tqr simulate --size 3200 [--tile 16] [--gpus 3] [--nodes 1] [--fixed-p N]
@@ -167,7 +167,7 @@ int cmd_factor(int argc, char** argv) {
   cli.flag("in", "input matrix (required)");
   cli.flag("tile", "tile size", "16");
   cli.flag("ib", "inner blocking (0 = off)", "0");
-  cli.flag("elim", "elimination: ts|tt|ttflat|hier", "tt");
+  cli.flag("elim", "elimination: ts|tt|ttflat|hier", "ts");
   cli.flag("q", "write explicit Q here");
   cli.flag("r", "write R here");
   if (!cli.parse(argc, argv)) return 0;
@@ -181,7 +181,7 @@ int cmd_factor(int argc, char** argv) {
       padded.rows() != a.rows() || padded.cols() != a.cols();
 
   typename core::TiledQrFactorization<double>::Options opts;
-  opts.elim = parse_elim(cli.get_string("elim", "tt"));
+  opts.elim = parse_elim(cli.get_string("elim", "ts"));
   opts.inner_block = checked_ib(cli);
   auto f = core::TiledQrFactorization<double>::factor(padded, b, opts);
 
@@ -314,7 +314,7 @@ int cmd_solve(int argc, char** argv) {
   } else if (method == "qr") {
     if (precision == svc::Precision::kFp32) {
       const auto mixed = core::qr_solve_mixed(
-          a, rhs, b, dag::Elimination::kTt,
+          a, rhs, b, dag::Elimination::kTs,
           refine > 0 ? refine : 8, /*tolerance=*/0.0, ib);
       std::printf(
           "mixed fp32 factor + fp64 refinement: %d rounds, %s "
@@ -487,7 +487,7 @@ int cmd_serve(int argc, char** argv) {
   cli.flag("tile", "tile size", "16");
   cli.flag("ib", "factor-kernel inner blocking (0 = library default)", "0");
   cli.flag("precision", "kernel precision for every job: fp64|fp32", "fp64");
-  cli.flag("elim", "elimination: ts|tt|ttflat|hier", "tt");
+  cli.flag("elim", "elimination: ts|tt|ttflat|hier", "ts");
   cli.flag("queue", "job queue capacity", "64");
   cli.flag("admission", "block|reject", "block");
   cli.flag("queue-deadline-ms", "expire jobs queued longer than this (0=off)",
@@ -585,7 +585,7 @@ int cmd_serve(int argc, char** argv) {
   const double exec_deadline_s = cli.get_double("exec-deadline-ms", 0) * 1e-3;
   const int retries = static_cast<int>(cli.get_int("retries", 1));
   const double retry_backoff_s = cli.get_double("retry-backoff-ms", 0) * 1e-3;
-  const dag::Elimination elim = parse_elim(cli.get_string("elim", "tt"));
+  const dag::Elimination elim = parse_elim(cli.get_string("elim", "ts"));
   const svc::Precision precision =
       svc::parse_precision(cli.get_string("precision", "fp64"));
 
