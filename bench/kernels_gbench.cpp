@@ -3,13 +3,15 @@
 // Two modes share this binary:
 //   - default: google-benchmark suite (counters report flop rates),
 //   - --json [--out PATH] [--quick]: a deterministic harness that times the
-//     naive GEMM loops against the packed micro-kernel engine and every tile
-//     kernel across a tile-size sweep, then emits per-kernel GFLOP/s as JSON.
+//     naive GEMM loops against the packed micro-kernel engine, every tile
+//     kernel and the trmm cases the applies use across a tile-size sweep,
+//     then emits per-kernel GFLOP/s as JSON.
 //     This is the perf-baseline trajectory: scripts/run_all_benches.sh
 //     refreshes BENCH_kernels.json from it, and PRs regress against the
 //     committed numbers (see docs/PERF.md).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -19,6 +21,7 @@
 #include "common/timer.hpp"
 #include "core/tiled_qr.hpp"
 #include "dag/tiled_qr_dag.hpp"
+#include "la/blas.hpp"
 #include "la/blocked_qr.hpp"
 #include "la/flops.hpp"
 #include "la/microkernel.hpp"
@@ -257,15 +260,25 @@ void bench_gemm_pair(int b, double min_s, std::vector<JsonResult>& out) {
   out.push_back({"gemm_packed", b, flops / packed * 1e-9, packed});
 }
 
+/// Restores a work tile from its source between timed calls. The harness
+/// copies into tiles allocated once: a b=128 tile is exactly glibc's initial
+/// mmap threshold, so allocating one per call made the timings depend on
+/// whether an earlier, larger allocation had already raised that threshold
+/// (it had in full runs, not in --quick ones).
+void reset(Matrix<double>& dst, const Matrix<double>& src) {
+  std::copy_n(src.data(), static_cast<std::size_t>(src.rows()) * src.cols(),
+              dst.data());
+}
+
 void bench_tile_kernels(int b, double min_s, int ib,
                         std::vector<JsonResult>& out) {
   // geqrt (copy cost included in both modes, as in the gbench suite).
   {
     const auto src = Matrix<double>::random(b, b, 1);
-    Matrix<double> t(b, b);
+    Matrix<double> t(b, b), w(b, b);
     const double s = seconds_per_call(
         [&] {
-          Matrix<double> w = src;
+          reset(w, src);
           la::geqrt<double>(w.view(), t.view(), ib);
         },
         min_s);
@@ -277,9 +290,10 @@ void bench_tile_kernels(int b, double min_s, int ib,
     Matrix<double> t(b, b);
     la::geqrt<double>(v.view(), t.view(), ib);
     const auto c_src = Matrix<double>::random(b, b, 3);
+    Matrix<double> c(b, b);
     const double s = seconds_per_call(
         [&] {
-          Matrix<double> c = c_src;
+          reset(c, c_src);
           la::unmqr<double>(v.view(), t.view(), c.view(), la::Trans::kTrans);
         },
         min_s);
@@ -293,22 +307,26 @@ void bench_tile_kernels(int b, double min_s, int ib,
       for (la::index_t i = 0; i <= j; ++i)
         r1(i, j) = rnd(i, j) + (i == j ? 2.0 : 0.0);
     const auto a2_src = Matrix<double>::random(b, b, 5);
-    Matrix<double> t(b, b);
+    Matrix<double> t(b, b), r(b, b), a2(b, b);
     const double s = seconds_per_call(
         [&] {
-          Matrix<double> r = r1, a2 = a2_src;
+          reset(r, r1);
+          reset(a2, a2_src);
           la::tsqrt<double>(r.view(), a2.view(), t.view(), ib);
         },
         min_s);
     out.push_back({"tsqrt", b, la::flops_tsqrt(b) / s * 1e-9, s});
 
-    Matrix<double> r = r1, v2 = a2_src;
+    Matrix<double> v2 = a2_src;
+    reset(r, r1);
     la::tsqrt<double>(r.view(), v2.view(), t.view(), ib);
     const auto c1_src = Matrix<double>::random(b, b, 6);
     const auto c2_src = Matrix<double>::random(b, b, 7);
+    Matrix<double> c1(b, b), c2(b, b);
     const double s2 = seconds_per_call(
         [&] {
-          Matrix<double> c1 = c1_src, c2 = c2_src;
+          reset(c1, c1_src);
+          reset(c2, c2_src);
           la::tsmqr<double>(v2.view(), t.view(), c1.view(), c2.view(),
                             la::Trans::kTrans);
         },
@@ -323,27 +341,69 @@ void bench_tile_kernels(int b, double min_s, int ib,
         r1(i, j) = 1.0 + i + j;
         r2(i, j) = 2.0 + i - j;
       }
-    Matrix<double> t(b, b);
+    Matrix<double> t(b, b), x1(b, b), x2(b, b);
     const double s = seconds_per_call(
         [&] {
-          Matrix<double> x1 = r1, x2 = r2;
+          reset(x1, r1);
+          reset(x2, r2);
           la::ttqrt<double>(x1.view(), x2.view(), t.view(), ib);
         },
         min_s);
     out.push_back({"ttqrt", b, la::flops_ttqrt(b) / s * 1e-9, s});
 
-    Matrix<double> x1 = r1, v2 = r2;
+    Matrix<double> v2 = r2;
+    reset(x1, r1);
     la::ttqrt<double>(x1.view(), v2.view(), t.view(), ib);
     const auto c1_src = Matrix<double>::random(b, b, 8);
     const auto c2_src = Matrix<double>::random(b, b, 9);
+    Matrix<double> c1(b, b), c2(b, b);
     const double s2 = seconds_per_call(
         [&] {
-          Matrix<double> c1 = c1_src, c2 = c2_src;
+          reset(c1, c1_src);
+          reset(c2, c2_src);
           la::ttmqr<double>(v2.view(), t.view(), c1.view(), c2.view(),
                             la::Trans::kTrans);
         },
         min_s);
     out.push_back({"ttmqr", b, la::flops_ttmqr(b) / s2 * 1e-9, s2});
+  }
+  // trmm: the triangular multiplies inside the applies, named by side and
+  // (uplo, trans, diag). utn is tsmqr's op(Tf) W, lnu unmqr's V1 W, and
+  // trmm_right.unn the T merge of geqrt/tsqrt. m^2 n flops; the b x b copy
+  // of the multiplied operand is included, as for the apply kernels.
+  {
+    struct Case {
+      const char* kernel;
+      la::Side side;
+      la::UpLo uplo;
+      la::Trans trans;
+      la::Diag diag;
+    };
+    const Case cases[] = {
+        {"trmm_left.utn", la::Side::kLeft, la::UpLo::kUpper, la::Trans::kTrans,
+         la::Diag::kNonUnit},
+        {"trmm_left.lnu", la::Side::kLeft, la::UpLo::kLower,
+         la::Trans::kNoTrans, la::Diag::kUnit},
+        {"trmm_right.unn", la::Side::kRight, la::UpLo::kUpper,
+         la::Trans::kNoTrans, la::Diag::kNonUnit},
+    };
+    const auto a = Matrix<double>::random(b, b, 10);
+    const auto x_src = Matrix<double>::random(b, b, 11);
+    Matrix<double> x(b, b);
+    for (const Case& k : cases) {
+      const double s = seconds_per_call(
+          [&] {
+            reset(x, x_src);
+            if (k.side == la::Side::kLeft)
+              la::trmm_left<double>(k.uplo, k.trans, k.diag, a.view(),
+                                    x.view());
+            else
+              la::trmm_right<double>(k.uplo, k.trans, k.diag, a.view(),
+                                     x.view());
+          },
+          min_s);
+      out.push_back({k.kernel, b, double(b) * b * b / s * 1e-9, s});
+    }
   }
 }
 

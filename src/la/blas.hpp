@@ -4,9 +4,11 @@
 // (gemm_naive and the vector/triangular routines) and the packed
 // register-tiled SIMD engine in la/microkernel.hpp. gemm dispatches between
 // them by problem size — the loops win below the packing-amortization
-// threshold, the engine runs near hardware FLOP rates above it — and
-// trmm_left splits recursively so its off-diagonal bulk also flows through
-// gemm. Loop orders are chosen for column-major locality (j-k-i for gemm).
+// threshold, the engine runs near hardware FLOP rates above it. trmm_left
+// and trmm_right dispatch the same way, into the packed triangular multiply
+// mk::trmm_packed; in scalar builds and for tiny triangles they split
+// recursively so the off-diagonal bulk still flows through gemm. Loop orders
+// are chosen for column-major locality (j-k-i for gemm).
 // All routines validate shapes with TQR_REQUIRE.
 #pragma once
 
@@ -117,6 +119,21 @@ void gemm_naive(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
   }
 }
 
+namespace detail {
+
+/// The packed engine's dispatch rule, shared by gemm and the trmm family:
+/// a vectorized float/double build and an m x n x k product above
+/// mk::use_packed's threshold.
+template <typename T>
+bool packs(index_t m, index_t n, index_t k) {
+  if constexpr (mk::vectorized() &&
+                (std::is_same_v<T, float> || std::is_same_v<T, double>))
+    return mk::use_packed(m, n, k);
+  return false;
+}
+
+}  // namespace detail
+
 /// C = alpha * op(A) * op(B) + beta * C. Dispatches to the packed
 /// register-tiled engine (la/microkernel.hpp) above the size threshold where
 /// packing amortizes; small problems keep the branch-light loops. In scalar
@@ -126,13 +143,10 @@ void gemm_naive(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
 template <typename T>
 void gemm(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
           ConstMatrixView<T> b, T beta, MatrixView<T> c) {
-  if constexpr (mk::vectorized() &&
-                (std::is_same_v<T, float> || std::is_same_v<T, double>)) {
-    const index_t k = (ta == Trans::kNoTrans) ? a.cols : a.rows;
-    if (alpha != T(0) && mk::use_packed(c.rows, c.cols, k)) {
-      mk::gemm_packed<T>(ta, tb, alpha, a, b, beta, c);
-      return;
-    }
+  const index_t k = (ta == Trans::kNoTrans) ? a.cols : a.rows;
+  if (alpha != T(0) && detail::packs<T>(c.rows, c.cols, k)) {
+    mk::gemm_packed<T>(ta, tb, alpha, a, b, beta, c);
+    return;
   }
   gemm_naive<T>(ta, tb, alpha, a, b, beta, c);
 }
@@ -140,8 +154,8 @@ void gemm(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
 namespace detail {
 
 /// Largest triangle handled by the base-case trmm loops; the recursive
-/// drivers below split anything bigger, so the axpy temp can live on the
-/// stack.
+/// drivers below split anything bigger that the packed engine does not
+/// take, so the axpy temp can live on the stack.
 inline constexpr index_t kTrmmSmallMax = 32;
 
 /// Base-case triangular multiply, in place. Only reads the stored triangle
@@ -237,17 +251,24 @@ void trmm_right_small(UpLo uplo, Trans trans, Diag diag, ConstMatrixView<T> a,
 
 }  // namespace detail
 
-/// B = op(A) * B with A triangular (left side). In-place.
+/// B = op(A) * B with A triangular (left side). In-place. Only the stored
+/// triangle of A is read, and its diagonal only when non-unit.
 ///
-/// Above a small base size the triangle is split 2x2 and the off-diagonal
-/// rectangular half flows through gemm (and thus the packed micro-kernel):
-/// for effective-lower op(A), B2 = op(A)22 B2 + op(A)21 B1 with B1 still
-/// unmodified, then B1 = op(A)11 B1; effective-upper mirrors it top-down.
+/// Under gemm's dispatch rule this runs packed (mk::trmm_packed; see there
+/// for how Inf/NaN in B can spread inside a diagonal micro-block). In scalar
+/// builds and for tiny triangles it splits 2x2 above a small base size and
+/// the off-diagonal rectangular half flows through gemm: for effective-lower
+/// op(A), B2 = op(A)22 B2 + op(A)21 B1 with B1 still unmodified, then
+/// B1 = op(A)11 B1; effective-upper mirrors it top-down.
 template <typename T>
 void trmm_left(UpLo uplo, Trans trans, Diag diag, ConstMatrixView<T> a,
                MatrixView<T> b) {
   const index_t m = b.rows, n = b.cols;
   TQR_REQUIRE(a.rows == m && a.cols == m, "trmm_left: A must be m x m");
+  if (detail::packs<T>(m, n, m)) {
+    mk::trmm_packed<T>(Side::kLeft, uplo, trans, diag, T(1), a, b, T(0), b);
+    return;
+  }
   if (m <= detail::kTrmmSmallMax || n == 0) {
     detail::trmm_left_small<T>(uplo, trans, diag, a, b);
     return;
@@ -279,17 +300,59 @@ void trmm_left(UpLo uplo, Trans trans, Diag diag, ConstMatrixView<T> a,
   }
 }
 
+/// C = alpha * op(A) * B + beta * C with A triangular (left side), out of
+/// place: B must not overlap C, and beta == 0 never reads C. Lets the
+/// compact-WY applies multiply a tile by a triangle, or accumulate the
+/// product into a tile, without a copy. Dispatches like the in-place form;
+/// the loop fallback streams down op(A)'s columns (j-p-i).
+template <typename T>
+void trmm_left(UpLo uplo, Trans trans, Diag diag, T alpha,
+               ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
+               MatrixView<T> c) {
+  const index_t m = c.rows, n = c.cols;
+  TQR_REQUIRE(a.rows == m && a.cols == m, "trmm_left: A must be m x m");
+  TQR_REQUIRE(b.rows == m && b.cols == n, "trmm_left: B/C shape mismatch");
+  if (alpha != T(0) && detail::packs<T>(m, n, m)) {
+    mk::trmm_packed<T>(Side::kLeft, uplo, trans, diag, alpha, a, b, beta, c);
+    return;
+  }
+  const bool unit = (diag == Diag::kUnit);
+  const bool lower = (uplo == UpLo::kLower) == (trans == Trans::kNoTrans);
+  auto op_a = [&](index_t i, index_t p) {
+    return (trans == Trans::kNoTrans) ? a(i, p) : a(p, i);
+  };
+  for (index_t j = 0; j < n; ++j) {
+    if (beta == T(0)) {
+      for (index_t i = 0; i < m; ++i) c(i, j) = T(0);
+    } else if (beta != T(1)) {
+      for (index_t i = 0; i < m; ++i) c(i, j) *= beta;
+    }
+    if (alpha == T(0)) continue;
+    for (index_t p = 0; p < m; ++p) {
+      const T bpj = alpha * b(p, j);
+      c(p, j) += unit ? bpj : a(p, p) * bpj;
+      const index_t lo = lower ? p + 1 : 0, hi = lower ? m : p;
+      for (index_t i = lo; i < hi; ++i) c(i, j) += op_a(i, p) * bpj;
+    }
+  }
+}
+
 /// B = B * op(A) with A triangular (right side). In-place.
 ///
-/// Mirror of trmm_left: above the base size the triangle is split 2x2 and
-/// the off-diagonal rectangular half flows through gemm. For effective-upper
-/// op(A), B2 = B2 op(A)22 + B1 op(A)12 with B1 still unmodified, then
+/// Mirror of trmm_left: packed under gemm's dispatch rule, otherwise the
+/// triangle is split 2x2 above the base size and the off-diagonal
+/// rectangular half flows through gemm. For effective-upper op(A),
+/// B2 = B2 op(A)22 + B1 op(A)12 with B1 still unmodified, then
 /// B1 = B1 op(A)11; effective-lower mirrors it.
 template <typename T>
 void trmm_right(UpLo uplo, Trans trans, Diag diag, ConstMatrixView<T> a,
                 MatrixView<T> b) {
   const index_t m = b.rows, n = b.cols;
   TQR_REQUIRE(a.rows == n && a.cols == n, "trmm_right: A must be n x n");
+  if (detail::packs<T>(m, n, n)) {
+    mk::trmm_packed<T>(Side::kRight, uplo, trans, diag, T(1), a, b, T(0), b);
+    return;
+  }
   if (n <= detail::kTrmmSmallMax || m == 0) {
     detail::trmm_right_small<T>(uplo, trans, diag, a, b);
     return;

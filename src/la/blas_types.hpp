@@ -11,5 +11,6 @@ namespace tqr::la {
 enum class Trans { kNoTrans, kTrans };
 enum class UpLo { kUpper, kLower };
 enum class Diag { kUnit, kNonUnit };
+enum class Side { kLeft, kRight };
 
 }  // namespace tqr::la

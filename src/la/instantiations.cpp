@@ -38,6 +38,8 @@ template class ReferenceQr<double>;
                         ConstMatrixView<T>, T, MatrixView<T>);              \
   template void trmm_left<T>(UpLo, Trans, Diag, ConstMatrixView<T>,         \
                              MatrixView<T>);                                \
+  template void trmm_left<T>(UpLo, Trans, Diag, T, ConstMatrixView<T>,      \
+                             ConstMatrixView<T>, T, MatrixView<T>);         \
   template void trmm_right<T>(UpLo, Trans, Diag, ConstMatrixView<T>,        \
                               MatrixView<T>);                               \
   template void trsm_left<T>(UpLo, Trans, Diag, ConstMatrixView<T>,         \

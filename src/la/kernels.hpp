@@ -87,11 +87,12 @@ void scaled_triu_matvec(MatrixView<T> t, index_t k, const T* z, T scale) {
 }  // namespace detail
 
 /// Default recursion leaf width for the factor kernels (the `ib` used when
-/// callers pass ib <= 0). The unblocked leaves run SIMD column dots/axpys,
-/// so they stay competitive up to a full 64-wide panel; the recursion (and
-/// its gemm-bound merges) only pays off above that. Swept on avx512f:
-/// 64 beats 8/16/32/48 at tile 64-128 and ties 32 at 192-256.
-inline constexpr index_t kPanelBase = 64;
+/// callers pass ib <= 0). The unblocked leaves run SIMD column dots/axpys;
+/// below the leaf width the recursion's merges and trailing applies run on
+/// the packed gemm/trmm engine, which outruns the leaves once a panel is
+/// wider than 32. Swept on avx512f with the packed trmm: 32 beats 64 for
+/// geqrt and tsqrt at tile 64-128, 16 ties 32, and all tie at 256.
+inline constexpr index_t kPanelBase = 32;
 
 /// Unblocked QR of an m x n tile (m >= n), in place: the scalar reference
 /// kernel and the recursion base case. On exit: upper triangle of `a` holds
@@ -149,10 +150,10 @@ inline constexpr index_t kWyFusedMax = 16;
 /// dense ((m-k) x k) — so the dense bulk runs as gemm (micro-kernel
 /// eligible) and the triangular parts as trmm, instead of branchy element
 /// loops:
-///   W  = V1^T C1        (unit-lower trmm on a copy of C1)
+///   W  = V1^T C1        (unit-lower trmm, out of place)
 ///   W += V2^T C2        (gemm)
 ///   W  = op(Tf) W       (upper trmm)
-///   C1 -= V1 W          (unit-lower trmm on a copy of W)
+///   C1 -= V1 W          (unit-lower trmm accumulating into C1)
 ///   C2 -= V2 W          (gemm)
 /// trmm only reads the stored triangle, so the R factor above V's diagonal is
 /// never touched.
@@ -191,8 +192,8 @@ void unmqr(ConstMatrixView<T> v, ConstMatrixView<T> t, MatrixView<T> c,
 
   // W = V1^T C1 + V2^T C2.
   Matrix<T> w(k, n);
-  copy<T>(c1, w.view());
-  trmm_left<T>(UpLo::kLower, Trans::kTrans, Diag::kUnit, v1, w.view());
+  trmm_left<T>(UpLo::kLower, Trans::kTrans, Diag::kUnit, T(1), v1, c1, T(0),
+               w.view());
   if (m > k)
     gemm<T>(Trans::kTrans, Trans::kNoTrans, T(1), v.block(k, 0, m - k, k),
             c.block(k, 0, m - k, n), T(1), w.view());
@@ -203,11 +204,8 @@ void unmqr(ConstMatrixView<T> v, ConstMatrixView<T> t, MatrixView<T> c,
                Diag::kNonUnit, t.block(0, 0, k, k), w.view());
 
   // C1 -= V1 W, C2 -= V2 W.
-  Matrix<T> v1w(k, n);
-  copy<T>(w.view(), v1w.view());
-  trmm_left<T>(UpLo::kLower, Trans::kNoTrans, Diag::kUnit, v1, v1w.view());
-  for (index_t j = 0; j < n; ++j)
-    for (index_t i = 0; i < k; ++i) c1(i, j) -= v1w(i, j);
+  trmm_left<T>(UpLo::kLower, Trans::kNoTrans, Diag::kUnit, T(-1), v1, w.view(),
+               T(1), c1);
   if (m > k)
     gemm<T>(Trans::kNoTrans, Trans::kNoTrans, T(-1), v.block(k, 0, m - k, k),
             w.view(), T(1), c.block(k, 0, m - k, n));
@@ -351,11 +349,10 @@ void ttmqr(ConstMatrixView<T> v2, ConstMatrixView<T> t, MatrixView<T> c1,
   }
 
   // W = C1 + V2^T C2 with V2 upper triangular (support rows 0..j in col j):
-  // a triangular multiply on a copy of C2, so the blocked trmm (gemm-bound
-  // off the diagonal) does the O(b^2 n) work.
+  // a triangular multiply of C2, so the packed trmm does the O(b^2 n) work.
   Matrix<T> w(b, n);
-  copy<T>(c2, w.view());
-  trmm_left<T>(UpLo::kUpper, Trans::kTrans, Diag::kNonUnit, v2, w.view());
+  trmm_left<T>(UpLo::kUpper, Trans::kTrans, Diag::kNonUnit, T(1), v2, c2, T(0),
+               w.view());
   for (index_t j = 0; j < n; ++j)
     for (index_t i = 0; i < b; ++i) w(i, j) += c1(i, j);
 
@@ -364,13 +361,10 @@ void ttmqr(ConstMatrixView<T> v2, ConstMatrixView<T> t, MatrixView<T> c1,
                Diag::kNonUnit, t.block(0, 0, b, b), w.view());
 
   // [C1; C2] -= [I; V2] W, with V2 upper triangular.
-  Matrix<T> v2w(b, n);
-  copy<T>(w.view(), v2w.view());
-  trmm_left<T>(UpLo::kUpper, Trans::kNoTrans, Diag::kNonUnit, v2, v2w.view());
-  for (index_t j = 0; j < n; ++j) {
+  for (index_t j = 0; j < n; ++j)
     for (index_t i = 0; i < b; ++i) c1(i, j) -= w(i, j);
-    for (index_t i = 0; i < b; ++i) c2(i, j) -= v2w(i, j);
-  }
+  trmm_left<T>(UpLo::kUpper, Trans::kNoTrans, Diag::kNonUnit, T(-1), v2,
+               w.view(), T(1), c2);
 }
 
 namespace detail {
@@ -410,9 +404,9 @@ void geqrt_rec(MatrixView<T> a, MatrixView<T> t, index_t base) {
   // only implicit zeros of V2): unit-lower trmm against V2's triangle plus a
   // gemm over the dense remainder. W = V1^T V2 is then X^T.
   Matrix<T> x(n2, n1);
-  copy<T>(a.block(n1, 0, n2, n1), x.view());
-  trmm_left<T>(UpLo::kLower, Trans::kTrans, Diag::kUnit,
-               a.block(n1, n1, n2, n2), x.view());
+  trmm_left<T>(UpLo::kLower, Trans::kTrans, Diag::kUnit, T(1),
+               a.block(n1, n1, n2, n2), a.block(n1, 0, n2, n1), T(0),
+               x.view());
   if (m > n1 + n2)
     gemm<T>(Trans::kTrans, Trans::kNoTrans, T(1),
             a.block(n1 + n2, n1, m - n1 - n2, n2),
@@ -504,8 +498,8 @@ void ttqrt_pent_apply_qt(MatrixView<T> r1, MatrixView<T> r2,
 
   // W = C1 + D^T C2top + U^T C2mid.
   Matrix<T> w(w1, nc);
-  copy<T>(c2m, w.view());
-  trmm_left<T>(UpLo::kUpper, Trans::kTrans, Diag::kNonUnit, u, w.view());
+  trmm_left<T>(UpLo::kUpper, Trans::kTrans, Diag::kNonUnit, T(1), u, c2m, T(0),
+               w.view());
   for (index_t j = 0; j < nc; ++j)
     for (index_t i = 0; i < w1; ++i) w(i, j) += c1(i, j);
   if (s > 0)
@@ -520,11 +514,8 @@ void ttqrt_pent_apply_qt(MatrixView<T> r1, MatrixView<T> r2,
     for (index_t i = 0; i < w1; ++i) c1(i, j) -= w(i, j);
   if (s > 0)
     gemm<T>(Trans::kNoTrans, Trans::kNoTrans, T(-1), d, w.view(), T(1), c2t);
-  Matrix<T> uw(w1, nc);
-  copy<T>(w.view(), uw.view());
-  trmm_left<T>(UpLo::kUpper, Trans::kNoTrans, Diag::kNonUnit, u, uw.view());
-  for (index_t j = 0; j < nc; ++j)
-    for (index_t i = 0; i < w1; ++i) c2m(i, j) -= uw(i, j);
+  trmm_left<T>(UpLo::kUpper, Trans::kNoTrans, Diag::kNonUnit, T(-1), u,
+               w.view(), T(1), c2m);
 }
 
 /// Recursive ttqrt on global columns [s, s+w). Both halves are pentagons in
@@ -543,11 +534,11 @@ void ttqrt_rec(MatrixView<T> r1, MatrixView<T> r2, MatrixView<T> t,
   ttqrt_rec<T>(r1, r2, t, s + w1, w2, base);
 
   // V1^T V2 over rows 0..s+w1-1 of R2 (V1's support; the right block is
-  // dense there): U1^T M2 via trmm on a copy, plus D1^T D2 via gemm.
+  // dense there): U1^T M2 via trmm, plus D1^T D2 via gemm.
   Matrix<T> y(w1, w2);
-  copy<T>(r2.block(s, s + w1, w1, w2), y.view());
-  trmm_left<T>(UpLo::kUpper, Trans::kTrans, Diag::kNonUnit,
-               r2.block(s, s, w1, w1), y.view());
+  trmm_left<T>(UpLo::kUpper, Trans::kTrans, Diag::kNonUnit, T(1),
+               r2.block(s, s, w1, w1), r2.block(s, s + w1, w1, w2), T(0),
+               y.view());
   if (s > 0)
     gemm<T>(Trans::kTrans, Trans::kNoTrans, T(1), r2.block(0, s, s, w1),
             r2.block(0, s + w1, s, w2), T(1), y.view());

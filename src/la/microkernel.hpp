@@ -1,4 +1,5 @@
-// Register-tiled, SIMD-vectorized small-GEMM engine (BLIS-style).
+// Register-tiled, SIMD-vectorized small-GEMM and triangular-multiply engine
+// (BLIS-style).
 //
 // The loop-based substrate in la/blas.hpp streams whole operands through the
 // cache for every output column; at tile sizes the paper sweeps that leaves
@@ -20,6 +21,12 @@
 //      used NR/MR times, which is what moves the kernel from memory-bound to
 //      FLOP-bound.
 //
+// The same pipeline runs the triangular multiply (trmm_packed, behind
+// la::trmm_left/trmm_right): the triangle is packed once into the
+// micro-kernel's panel format with explicit zeros, each panel runs only over
+// its nonzero k-span, and the multiplied operand is packed before its C block
+// is written, so in-place and accumulating products both work.
+//
 // The micro-kernel itself is portable: with GCC/Clang vector extensions it
 // compiles to whatever the target ISA offers (SSE2/AVX/AVX-512 chosen at
 // compile time from the -m flags); defining TQR_MK_SCALAR — or building with
@@ -32,8 +39,10 @@
 // via thread_local storage.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "la/aligned.hpp"
@@ -265,6 +274,87 @@ inline std::vector<T, AlignedAllocator<T>>& pack_buffer(int which) {
   return buf[which];
 }
 
+/// pack_buffer(which) grown to at least n elements. Never shrinks: a
+/// shrink-then-grow round trip through resize() would re-zero the tail on
+/// every call once gemm_packed and trmm_packed alternate on one thread.
+template <typename T>
+inline T* pack_storage(int which, std::size_t n) {
+  auto& buf = pack_buffer<T>(which);
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
+}
+
+/// Nonzero column span [first, second) of rows r0 .. r0+R-1 of an m x m
+/// triangle: the micro-panels outside it are all zero and never computed.
+inline std::pair<index_t, index_t> tri_span(bool lower, index_t r0, index_t R,
+                                            index_t m) {
+  return lower ? std::pair<index_t, index_t>{0, std::min(r0 + R, m)}
+               : std::pair<index_t, index_t>{r0, m};
+}
+
+/// Elements pack_tri writes for an m x m triangle in R-row panels.
+inline std::size_t tri_packed_size(bool lower, index_t R, index_t m) {
+  std::size_t n = 0;
+  for (index_t r0 = 0; r0 < m; r0 += R) {
+    const auto [lo, hi] = tri_span(lower, r0, R, m);
+    n += static_cast<std::size_t>(hi - lo) * R;
+  }
+  return n;
+}
+
+/// Packs the rows of the triangular M = op(A) (m x m, lower when `lower`)
+/// into R-row interleaved panels with alpha folded in. Each panel keeps only
+/// its tri_span, so panel r0 starts where the previous one ended and holds
+/// M(r0 + i, p) at (p - lo) * R + i. Entries outside the triangle are written
+/// as explicit zeros and a unit diagonal as alpha; neither is read from A,
+/// so the other triangle and a unit diagonal may hold anything (unmqr's V1
+/// tile holds R there). A transposed op(A) is packed along A's contiguous
+/// columns.
+template <typename T, int R>
+void pack_tri(T* __restrict dst, ConstMatrixView<T> a, bool lower,
+              Trans trans, bool unit, T alpha) {
+  const index_t m = a.rows;
+  for (index_t r0 = 0; r0 < m; r0 += R) {
+    const auto [lo, hi] = tri_span(lower, r0, R, m);
+    const index_t rows = std::min<index_t>(R, m - r0);
+    if (trans == Trans::kNoTrans) {
+      // Column p of M is column p of A: rows above its diagonal entry
+      // (panel row p - r0) are the upper part, rows below the lower part.
+      for (index_t p = lo; p < hi; ++p) {
+        const T* col = a.data + static_cast<std::size_t>(p) * a.ld + r0;
+        T* d = dst + (p - lo) * R;
+        const index_t dg = p - r0;
+        const index_t above = std::clamp<index_t>(dg, 0, rows);
+        const index_t below = std::clamp<index_t>(dg + 1, 0, rows);
+        for (index_t i = 0; i < above; ++i)
+          d[i] = lower ? T(0) : alpha * col[i];
+        if (above < below) d[dg] = unit ? alpha : alpha * col[dg];
+        for (index_t i = below; i < rows; ++i)
+          d[i] = lower ? alpha * col[i] : T(0);
+        for (index_t i = rows; i < R; ++i) d[i] = T(0);
+      }
+    } else {
+      // Row r of M is column r of A; its diagonal entry always lies in the
+      // panel's span.
+      for (index_t i = 0; i < R; ++i) {
+        T* d = dst + i;
+        if (i >= rows) {
+          for (index_t p = lo; p < hi; ++p) d[(p - lo) * R] = T(0);
+          continue;
+        }
+        const index_t r = r0 + i;
+        const T* col = a.data + static_cast<std::size_t>(r) * a.ld;
+        for (index_t p = lo; p < r; ++p)
+          d[(p - lo) * R] = lower ? alpha * col[p] : T(0);
+        d[(r - lo) * R] = unit ? alpha : alpha * col[r];
+        for (index_t p = r + 1; p < hi; ++p)
+          d[(p - lo) * R] = lower ? T(0) : alpha * col[p];
+      }
+    }
+    dst += (hi - lo) * R;
+  }
+}
+
 }  // namespace detail
 
 /// C = alpha * op(A) * op(B) + beta * C through the packed register-tiled
@@ -299,30 +389,28 @@ void gemm_packed(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
   }
 
   auto round_up = [](index_t x, index_t q) { return (x + q - 1) / q * q; };
-  auto& abuf = detail::pack_buffer<T>(0);
-  auto& bbuf = detail::pack_buffer<T>(1);
-  abuf.resize(static_cast<std::size_t>(round_up(std::min(bs.mc, m), MR)) *
-              bs.kc);
-  bbuf.resize(static_cast<std::size_t>(round_up(std::min(bs.nc, n), NR)) *
-              bs.kc);
+  T* const abuf = detail::pack_storage<T>(
+      0, static_cast<std::size_t>(round_up(std::min(bs.mc, m), MR)) * bs.kc);
+  T* const bbuf = detail::pack_storage<T>(
+      1, static_cast<std::size_t>(round_up(std::min(bs.nc, n), NR)) * bs.kc);
 
   alignas(kMatrixAlignment) T acc[MR * NR];
   for (index_t jc = 0; jc < n; jc += bs.nc) {
     const index_t nc_eff = std::min(bs.nc, n - jc);
     for (index_t pc = 0; pc < k; pc += bs.kc) {
       const index_t kc_eff = std::min(bs.kc, k - pc);
-      detail::pack_b<T>(bbuf.data(), b, tb, pc, jc, kc_eff, nc_eff);
+      detail::pack_b<T>(bbuf, b, tb, pc, jc, kc_eff, nc_eff);
       const T beta_eff = (pc == 0) ? beta : T(1);
       for (index_t ic = 0; ic < m; ic += bs.mc) {
         const index_t mc_eff = std::min(bs.mc, m - ic);
-        detail::pack_a<T>(abuf.data(), a, ta, alpha, ic, pc, mc_eff, kc_eff);
+        detail::pack_a<T>(abuf, a, ta, alpha, ic, pc, mc_eff, kc_eff);
         for (index_t jr = 0; jr < nc_eff; jr += NR) {
           const index_t nr_eff = std::min<index_t>(NR, nc_eff - jr);
-          const T* bp = bbuf.data() + static_cast<std::size_t>(jr) * kc_eff;
+          const T* bp = bbuf + static_cast<std::size_t>(jr) * kc_eff;
           for (index_t ir = 0; ir < mc_eff; ir += MR) {
             const index_t mr_eff = std::min<index_t>(MR, mc_eff - ir);
             detail::micro_kernel<T>(
-                kc_eff, abuf.data() + static_cast<std::size_t>(ir) * kc_eff,
+                kc_eff, abuf + static_cast<std::size_t>(ir) * kc_eff,
                 bp, acc);
             detail::write_back<T>(
                 acc,
@@ -342,6 +430,101 @@ extern template void gemm_packed<float>(Trans, Trans, float,
                                         ConstMatrixView<float>, float,
                                         MatrixView<float>, const Blocking&);
 extern template void gemm_packed<double>(Trans, Trans, double,
+                                         ConstMatrixView<double>,
+                                         ConstMatrixView<double>, double,
+                                         MatrixView<double>, const Blocking&);
+
+/// C = alpha * op(A) * B + beta * C (side kLeft, A m x m) or
+/// C = alpha * B * op(A) + beta * C (side kRight, A n x n), A triangular,
+/// through the packed register-tiled pipeline. op(A)'s stored triangle is
+/// packed once with explicit zeros (pack_tri), and each row panel of op(A)
+/// (or column panel, on the right) runs only over its nonzero k-span, so
+/// all-zero micro-panels are skipped. The other operand is packed before
+/// the C block it feeds is written: on the left one column chunk of B at a
+/// time, on the right one full MR-row panel of B. That makes b == c (the
+/// in-place trmm, beta == 0) safe; any other overlap of b and c is not.
+/// beta == 0 never reads C, and beta == 1 accumulates.
+///
+/// The explicit zeros differ from the loop version in one way: inside a
+/// diagonal micro-block, an Inf or NaN in B reaches rows whose op(A) entry
+/// is a structural zero (0 * Inf = NaN), which the loops never touch. Finite
+/// inputs are unaffected. Only the packing buffers of gemm_packed are used.
+template <typename T>
+void trmm_packed(Side side, UpLo uplo, Trans trans, Diag diag, T alpha,
+                 ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
+                 MatrixView<T> c, const Blocking& bs = default_blocking<T>()) {
+  static_assert(std::is_floating_point_v<T>,
+                "trmm_packed supports float/double");
+  constexpr int MR = RegisterBlocking<T>::mr;
+  constexpr int NR = RegisterBlocking<T>::nr;
+  const index_t m = c.rows, n = c.cols;
+  const index_t k = (side == Side::kLeft) ? m : n;
+  TQR_REQUIRE(a.rows == k && a.cols == k, "trmm_packed: A must be square");
+  TQR_REQUIRE(b.rows == m && b.cols == n, "trmm_packed: B/C shape mismatch");
+  if (m == 0 || n == 0) return;
+  const bool unit = (diag == Diag::kUnit);
+  const bool op_lower = (uplo == UpLo::kLower) == (trans == Trans::kNoTrans);
+  alignas(kMatrixAlignment) T acc[MR * NR];
+
+  if (side == Side::kLeft) {
+    T* const ap = detail::pack_storage<T>(
+        0, detail::tri_packed_size(op_lower, MR, m));
+    detail::pack_tri<T, MR>(ap, a, op_lower, trans, unit, alpha);
+    // Column chunks of B no larger than gemm_packed's kc x nc B panel.
+    const index_t chunk =
+        std::max<index_t>(NR, bs.kc * bs.nc / m / NR * NR);
+    T* const bp = detail::pack_storage<T>(
+        1, static_cast<std::size_t>((std::min(chunk, n) + NR - 1) / NR * NR) *
+               m);
+    for (index_t jc = 0; jc < n; jc += chunk) {
+      const index_t nc_eff = std::min(chunk, n - jc);
+      detail::pack_b<T>(bp, b, Trans::kNoTrans, 0, jc, m, nc_eff);
+      for (index_t jr = 0; jr < nc_eff; jr += NR) {
+        const index_t nr_eff = std::min<index_t>(NR, nc_eff - jr);
+        const T* const bj = bp + static_cast<std::size_t>(jr) * m;
+        const T* ai = ap;
+        for (index_t ir = 0; ir < m; ir += MR) {
+          const auto [lo, hi] = detail::tri_span(op_lower, ir, MR, m);
+          detail::micro_kernel<T>(hi - lo, ai, bj + lo * NR, acc);
+          detail::write_back<T>(
+              acc, c.data + static_cast<std::size_t>(jc + jr) * c.ld + ir,
+              c.ld, std::min<index_t>(MR, m - ir), nr_eff, beta);
+          ai += (hi - lo) * MR;
+        }
+      }
+    }
+    return;
+  }
+
+  // Right side: the columns of op(A) are the rows of op(A)^T, packed as the
+  // micro-kernel's NR panels with the opposite transpose and triangle.
+  const bool opt_lower = !op_lower;
+  T* const ap = detail::pack_storage<T>(
+      1, detail::tri_packed_size(opt_lower, NR, n));
+  detail::pack_tri<T, NR>(
+      ap, a, opt_lower,
+      trans == Trans::kNoTrans ? Trans::kTrans : Trans::kNoTrans, unit, alpha);
+  T* const bp = detail::pack_storage<T>(0, static_cast<std::size_t>(MR) * n);
+  for (index_t ir = 0; ir < m; ir += MR) {
+    const index_t mr_eff = std::min<index_t>(MR, m - ir);
+    detail::pack_a<T>(bp, b, Trans::kNoTrans, T(1), ir, 0, mr_eff, n);
+    const T* aj = ap;
+    for (index_t jr = 0; jr < n; jr += NR) {
+      const auto [lo, hi] = detail::tri_span(opt_lower, jr, NR, n);
+      detail::micro_kernel<T>(hi - lo, bp + lo * MR, aj, acc);
+      detail::write_back<T>(
+          acc, c.data + static_cast<std::size_t>(jr) * c.ld + ir, c.ld,
+          mr_eff, std::min<index_t>(NR, n - jr), beta);
+      aj += (hi - lo) * NR;
+    }
+  }
+}
+
+extern template void trmm_packed<float>(Side, UpLo, Trans, Diag, float,
+                                        ConstMatrixView<float>,
+                                        ConstMatrixView<float>, float,
+                                        MatrixView<float>, const Blocking&);
+extern template void trmm_packed<double>(Side, UpLo, Trans, Diag, double,
                                          ConstMatrixView<double>,
                                          ConstMatrixView<double>, double,
                                          MatrixView<double>, const Blocking&);

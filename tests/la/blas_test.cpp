@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "la/matrix.hpp"
 
 namespace tqr::la {
@@ -356,9 +361,10 @@ TEST(TrmmDegenerate, OneByOneAndSubview) {
 }
 
 TEST(TrmmDegenerate, BlockedMatchesSmallAcrossSizes) {
-  // The recursive split must agree with the base-case loops for every
-  // uplo/trans/diag at sizes straddling the split threshold, and must only
-  // read the stored triangle (the other triangle is poisoned with NaN).
+  // The dispatching trmm_left (packed, or the recursive split in scalar
+  // builds) must agree with the base-case loops for every uplo/trans/diag at
+  // sizes straddling the split threshold, and must only read the stored
+  // triangle (the other triangle is poisoned with NaN).
   for (index_t m : {31, 32, 33, 64, 97}) {
     for (auto uplo : {UpLo::kUpper, UpLo::kLower})
       for (auto trans : {Trans::kNoTrans, Trans::kTrans})
@@ -436,6 +442,161 @@ TEST(TrsmRightDegenerate, IdentityOperatorAndZeroRhs) {
   trsm_right<double>(UpLo::kUpper, Trans::kNoTrans, Diag::kUnit, a.view(), bv);
   for (index_t j = 0; j < 3; ++j)
     for (index_t i = 0; i < 4; ++i) EXPECT_EQ(b(i, j), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// trmm property sweep against an explicit dense triangular product: both
+// sides, all 8 (uplo, trans, diag) cases, fp32 and fp64, dimensions around
+// the micro-kernel's MR and the tile sizes, every operand an interior
+// sub-view with ld > rows. A's unstored triangle, its halo and (under kUnit)
+// its diagonal hold NaN, so reading any of them poisons the result; B's halo
+// must come back bit-identical. The out-of-place left form is checked in
+// both its overwrite (beta = 0 over a NaN C) and accumulate (C -= op(A) B)
+// uses. Pairs whose reference product exceeds ~129^3 multiply-adds are
+// skipped to bound the run time; every size still appears in both roles.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+class TrmmProperty : public ::testing::Test {};
+using TrmmTypes = ::testing::Types<float, double>;
+TYPED_TEST_SUITE(TrmmProperty, TrmmTypes);
+
+enum class TrmmMode { kInPlace, kOverwrite, kAccumulate };
+
+template <typename T>
+std::vector<index_t> trmm_sizes() {
+  const index_t mr = mk::RegisterBlocking<T>::mr;
+  return {1, mr - 1, mr, mr + 1, 33, 127, 128, 129, 300};
+}
+
+/// Runs one trmm on interior sub-views and checks it element-wise against
+/// the dense product computed in double.
+template <typename T>
+::testing::AssertionResult trmm_matches_dense(Side side, UpLo uplo,
+                                              Trans trans, Diag diag,
+                                              index_t m, index_t n,
+                                              TrmmMode mode) {
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  const bool unit = (diag == Diag::kUnit);
+  const index_t k = (side == Side::kLeft) ? m : n;
+  const auto seed = static_cast<std::uint64_t>(m * 1000 + n);
+
+  // A: k x k at (2, 3) of a NaN-poisoned frame; only the stored triangle
+  // (strictly, under kUnit) holds numbers. opa is the dense op(A).
+  auto abig = Matrix<T>::random(k + 5, k + 4, seed);
+  Matrix<double> opa(k, k);
+  for (index_t j = 0; j < abig.cols(); ++j)
+    for (index_t i = 0; i < abig.rows(); ++i) {
+      const index_t ii = i - 2, jj = j - 3;
+      const bool inside = ii >= 0 && ii < k && jj >= 0 && jj < k;
+      const bool stored = inside && (uplo == UpLo::kUpper ? ii <= jj : ii >= jj);
+      double v = 0;
+      if (inside && ii == jj && unit) {
+        v = 1;
+        abig(i, j) = nan;
+      } else if (stored) {
+        v = abig(i, j);
+      } else {
+        abig(i, j) = nan;
+      }
+      if (inside) (trans == Trans::kNoTrans ? opa(ii, jj) : opa(jj, ii)) = v;
+    }
+  const auto a = ConstMatrixView<T>(abig.view()).block(2, 3, k, k);
+
+  auto bbig = Matrix<T>::random(m + 5, n + 4, seed + 1);
+  auto cbig = Matrix<T>::random(m + 4, n + 6, seed + 2);
+  if (mode == TrmmMode::kOverwrite) cbig.view().block(1, 2, m, n).fill(nan);
+  const Matrix<T> bsnap = bbig, csnap = cbig;
+  auto b = bbig.view().block(2, 3, m, n);
+  auto c = cbig.view().block(1, 2, m, n);
+
+  auto out = b;
+  if (mode == TrmmMode::kInPlace) {
+    if (side == Side::kLeft)
+      trmm_left<T>(uplo, trans, diag, a, b);
+    else
+      trmm_right<T>(uplo, trans, diag, a, b);
+  } else {
+    const T alpha = mode == TrmmMode::kAccumulate ? T(-1) : T(1);
+    const T beta = mode == TrmmMode::kAccumulate ? T(1) : T(0);
+    trmm_left<T>(uplo, trans, diag, alpha, a, b, beta, c);
+    out = c;
+  }
+
+  const double eps = std::numeric_limits<T>::epsilon();
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i) {
+      double ref = 0, mag = 0;
+      for (index_t p = 0; p < k; ++p) {
+        const double term = (side == Side::kLeft)
+                                ? opa(i, p) * bsnap(2 + p, 3 + j)
+                                : bsnap(2 + i, 3 + p) * opa(p, j);
+        ref += term;
+        mag += std::abs(term);
+      }
+      if (mode == TrmmMode::kAccumulate) {
+        ref = csnap(1 + i, 2 + j) - ref;
+        mag += std::abs(csnap(1 + i, 2 + j));
+      }
+      const double got = out(i, j);
+      if (!(std::abs(got - ref) <= 2.0 * (k + 2) * eps * mag))
+        return ::testing::AssertionFailure()
+               << "(" << i << "," << j << ") got " << got << " want " << ref;
+    }
+  // Nothing outside the destination block moves; B is only read out of
+  // place.
+  const Matrix<T>& dst = mode == TrmmMode::kInPlace ? bbig : cbig;
+  const Matrix<T>& snap = mode == TrmmMode::kInPlace ? bsnap : csnap;
+  const index_t i0 = mode == TrmmMode::kInPlace ? 2 : 1;
+  const index_t j0 = mode == TrmmMode::kInPlace ? 3 : 2;
+  for (index_t j = 0; j < dst.cols(); ++j)
+    for (index_t i = 0; i < dst.rows(); ++i)
+      if ((i < i0 || i >= i0 + m || j < j0 || j >= j0 + n) &&
+          dst(i, j) != snap(i, j))
+        return ::testing::AssertionFailure()
+               << "halo (" << i << "," << j << ") changed";
+  if (mode != TrmmMode::kInPlace)
+    for (index_t j = 0; j < bbig.cols(); ++j)
+      for (index_t i = 0; i < bbig.rows(); ++i)
+        if (bbig(i, j) != bsnap(i, j))
+          return ::testing::AssertionFailure() << "B changed at (" << i
+                                               << "," << j << ")";
+  return ::testing::AssertionSuccess();
+}
+
+template <typename T>
+void sweep_trmm(Side side, TrmmMode mode) {
+  for (index_t m : trmm_sizes<T>())
+    for (index_t n : trmm_sizes<T>()) {
+      const index_t k = (side == Side::kLeft) ? m : n;
+      const index_t other = (side == Side::kLeft) ? n : m;
+      if (k * k * other > 129 * 129 * 129) continue;
+      for (auto uplo : {UpLo::kUpper, UpLo::kLower})
+        for (auto trans : {Trans::kNoTrans, Trans::kTrans})
+          for (auto diag : {Diag::kUnit, Diag::kNonUnit})
+            ASSERT_TRUE(
+                trmm_matches_dense<T>(side, uplo, trans, diag, m, n, mode))
+                << "m=" << m << " n=" << n << " uplo="
+                << (uplo == UpLo::kUpper ? "U" : "L")
+                << " trans=" << (trans == Trans::kTrans ? "T" : "N")
+                << " diag=" << (diag == Diag::kUnit ? "U" : "N");
+    }
+}
+
+TYPED_TEST(TrmmProperty, LeftInPlaceMatchesDenseProduct) {
+  sweep_trmm<TypeParam>(Side::kLeft, TrmmMode::kInPlace);
+}
+
+TYPED_TEST(TrmmProperty, RightInPlaceMatchesDenseProduct) {
+  sweep_trmm<TypeParam>(Side::kRight, TrmmMode::kInPlace);
+}
+
+TYPED_TEST(TrmmProperty, LeftOverwriteNeverReadsC) {
+  sweep_trmm<TypeParam>(Side::kLeft, TrmmMode::kOverwrite);
+}
+
+TYPED_TEST(TrmmProperty, LeftAccumulateSubtractsProduct) {
+  sweep_trmm<TypeParam>(Side::kLeft, TrmmMode::kAccumulate);
 }
 
 }  // namespace
