@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
            "160,320,480,640,960,1280,1920,2240,2560,2880,3200,3840");
   cli.flag("host", "also measure this host's step profile (Fig. 4 style)");
   cli.flag("host-tiles", "tile sizes for the --host profile", "16,32,64,128");
-  cli.flag("ib", "inner blocking for the --host factor kernels (0 = off)",
+  cli.flag("ib", "inner block width for the --host kernels (0 = default)",
            "0");
   if (!cli.parse(argc, argv)) return 0;
   const double scale = cli.get_double("update-scale", 1.0);

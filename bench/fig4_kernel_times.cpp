@@ -16,8 +16,8 @@ namespace tqr {
 namespace {
 
 /// Median-of-5 measured host time for one functional kernel, microseconds.
-/// `ib` is the factor-kernel inner block size (0 = library default) — the
-/// same knob execution uses, so the table reflects the deployed kernels.
+/// `ib` is the kernels' inner block size (0 = library default) — the same
+/// knob execution uses, so the table reflects the deployed kernels.
 double measured_host_us(dag::Op op, int b, la::index_t ib) {
   using namespace la;
   double best = 1e300;
@@ -41,7 +41,7 @@ double measured_host_us(dag::Op op, int b, la::index_t ib) {
         geqrt<double>(a.view(), t.view(), ib);
         break;
       case dag::Op::kUnmqr:
-        unmqr<double>(vfac.view(), tfac.view(), c1.view(), Trans::kTrans);
+        unmqr<double>(vfac.view(), tfac.view(), c1.view(), Trans::kTrans, ib);
         break;
       case dag::Op::kTsqrt:
         tsqrt<double>(tri.view(), a2.view(), t.view(), ib);
@@ -51,7 +51,7 @@ double measured_host_us(dag::Op op, int b, la::index_t ib) {
         tsqrt<double>(r1.view(), v2.view(), tf.view(), ib);
         timer.reset();
         tsmqr<double>(v2.view(), tf.view(), c1.view(), c2.view(),
-                      Trans::kTrans);
+                      Trans::kTrans, ib);
         break;
       }
       default:
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   using namespace tqr;
   Cli cli;
   cli.flag("tiles", "comma-separated tile sizes", "4,8,12,16,20,24,28");
-  cli.flag("ib", "inner blocking for measured factor kernels (0 = off)", "0");
+  cli.flag("ib", "inner block width for measured kernels (0 = default)", "0");
   cli.flag("csv", "write results as CSV to this path");
   if (!cli.parse(argc, argv)) return 0;
   const auto ib = static_cast<la::index_t>(cli.get_int("ib", 0));

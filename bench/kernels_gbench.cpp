@@ -5,7 +5,8 @@
 //   - --json [--out PATH] [--quick]: a deterministic harness that times the
 //     naive GEMM loops against the packed micro-kernel engine, every tile
 //     kernel and the trmm cases the applies use across a tile-size sweep,
-//     then emits per-kernel GFLOP/s as JSON.
+//     then emits per-kernel GFLOP/s as JSON, each row the median of three
+//     passes.
 //     This is the perf-baseline trajectory: scripts/run_all_benches.sh
 //     refreshes BENCH_kernels.json from it, and PRs regress against the
 //     committed numbers (see docs/PERF.md).
@@ -80,7 +81,7 @@ void BM_Tsmqr(benchmark::State& state) {
   for (auto _ : state) {
     Matrix<double> c1 = c1_src, c2 = c2_src;
     la::tsmqr<double>(v2.view(), t.view(), c1.view(), c2.view(),
-                      la::Trans::kTrans);
+                      la::Trans::kTrans, 0);
     benchmark::DoNotOptimize(c2.data());
   }
   state.counters["flops"] = benchmark::Counter(
@@ -294,7 +295,8 @@ void bench_tile_kernels(int b, double min_s, int ib,
     const double s = seconds_per_call(
         [&] {
           reset(c, c_src);
-          la::unmqr<double>(v.view(), t.view(), c.view(), la::Trans::kTrans);
+          la::unmqr<double>(v.view(), t.view(), c.view(), la::Trans::kTrans,
+                            ib);
         },
         min_s);
     out.push_back({"unmqr", b, la::flops_unmqr(b) / s * 1e-9, s});
@@ -328,7 +330,7 @@ void bench_tile_kernels(int b, double min_s, int ib,
           reset(c1, c1_src);
           reset(c2, c2_src);
           la::tsmqr<double>(v2.view(), t.view(), c1.view(), c2.view(),
-                            la::Trans::kTrans);
+                            la::Trans::kTrans, ib);
         },
         min_s);
     out.push_back({"tsmqr", b, la::flops_tsmqr(b) / s2 * 1e-9, s2});
@@ -369,7 +371,7 @@ void bench_tile_kernels(int b, double min_s, int ib,
   }
   // trmm: the triangular multiplies inside the applies, named by side and
   // (uplo, trans, diag). utn is tsmqr's op(Tf) W, lnu unmqr's V1 W, and
-  // trmm_right.unn the T merge of geqrt/tsqrt. m^2 n flops; the b x b copy
+  // trmm_right.unn the T merge of ttqrt. m^2 n flops; the b x b copy
   // of the multiplied operand is included, as for the apply kernels.
   {
     struct Case {
@@ -411,9 +413,23 @@ int run_json_mode(bool quick, const std::string& out_path, int ib) {
   const double min_s = quick ? 0.02 : 0.15;
   const std::vector<int> tiles =
       quick ? std::vector<int>{64, 128} : std::vector<int>{64, 128, 192, 256};
-  std::vector<JsonResult> results;
-  for (int b : tiles) bench_gemm_pair(b, min_s, results);
-  for (int b : tiles) bench_tile_kernels(b, min_s, ib, results);
+  // Each row reports the median seconds per call over three whole passes,
+  // with its rate rescaled to match, so one pass that loses the CPU to a
+  // neighbour cannot move the gate.
+  std::vector<std::vector<JsonResult>> passes(3);
+  for (auto& pass : passes) {
+    for (int b : tiles) bench_gemm_pair(b, min_s, pass);
+    for (int b : tiles) bench_tile_kernels(b, min_s, ib, pass);
+  }
+  std::vector<JsonResult> results = passes.front();
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    std::vector<double> s;
+    for (const auto& pass : passes) s.push_back(pass[i].sec_per_call);
+    std::nth_element(s.begin(), s.begin() + s.size() / 2, s.end());
+    const double median = s[s.size() / 2];
+    results[i].gflops *= results[i].sec_per_call / median;
+    results[i].sec_per_call = median;
+  }
 
   double naive256 = 0, packed256 = 0;
   for (const auto& r : results) {
@@ -476,9 +492,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--ib") == 0 && i + 1 < argc) {
-      // Inner block (recursion leaf width) for the factor kernels; 0 keeps
-      // the library default. Reject junk instead of silently benching with
-      // atoi garbage.
+      // Inner block width `ib` for the factor kernels and their applies; 0
+      // keeps the library default. Reject junk instead of silently benching
+      // with atoi garbage.
       char* end = nullptr;
       const long v = std::strtol(argv[++i], &end, 10);
       if (end == argv[i] || *end != '\0' || v < 0 || v > 4096) {

@@ -83,7 +83,7 @@ if [[ "$MODE" == "perf" ]]; then
   cmake --build "$BUILD_DIR" -j \
     --target kernels_gbench serve_throughput batched_qr bench_diff tqr
 
-  echo "== kernel micro-bench (quick) =="
+  echo "== kernel micro-bench (quick, median of 3 passes) =="
   "$BUILD_DIR/bench/kernels_gbench" --json --quick \
     --out "$OUT_DIR/kernels_current.json"
   echo "== bench_diff vs committed baseline =="

@@ -52,7 +52,8 @@ for b in "${BENCHES[@]}"; do
 done
 
 # Refresh the committed micro-kernel perf baseline. kernels_gbench --json
-# reports per-kernel GFLOP/s plus the packed-vs-naive GEMM speedup; the
+# reports per-kernel GFLOP/s (each row the median of three passes)
+# plus the packed-vs-naive GEMM speedup; the
 # checked-in BENCH_kernels.json is the reference point CI's perf gate
 # compares against. The fresh run lands in results/ first and is blessed
 # into the baseline through bench_diff --write-baseline, which refuses a

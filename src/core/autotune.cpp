@@ -109,7 +109,7 @@ DeviceProfile measure_host_profile(int device_id,
       },
       [&](UpdateState& s) {
         la::unmqr<double>(vg.view(), tg.view(), s.c1.view(),
-                          la::Trans::kTrans);
+                          la::Trans::kTrans, ib);
       });
   p.kernel.ue = min_seconds(
       options.repetitions,
@@ -123,7 +123,7 @@ DeviceProfile measure_host_profile(int device_id,
                             la::Trans::kTrans);
         else
           la::tsmqr<double>(ve.view(), te.view(), s.c1.view(), s.c2.view(),
-                            la::Trans::kTrans);
+                            la::Trans::kTrans, ib);
       });
 
   p.inner_block = ib;

@@ -18,7 +18,7 @@ struct MeasureOptions {
   int repetitions = 5;   // per kernel; minimum is kept
   int slots = 1;         // concurrency the host device should be modeled at
   dag::Elimination elim = dag::Elimination::kTt;
-  /// Inner block size for the factor kernels (0 = library default). Must
+  /// Inner block width for the tile kernels (0 = library default). Must
   /// match what execution will use — the measured profile is stamped with
   /// it (DeviceProfile::inner_block) so consumers can check.
   la::index_t inner_block = 0;

@@ -54,8 +54,8 @@ struct PlanConfig {
   /// Row groups for Elimination::kHier (ignored otherwise); 0 = one group
   /// per platform node. Clamped to [1, mt].
   int hier_groups = 0;
-  /// Inner block size (recursion leaf width) the factor kernels will run
-  /// with (0 = library default). Scheduling on the modeled platform is
+  /// Inner block width `ib` the tile kernels will run with (0 = library
+  /// default). Scheduling on the modeled platform is
   /// ib-agnostic, but the plan records the kernel configuration its timings
   /// assume so executors can read it back — keeping calibration and
   /// execution on the same kernel configuration by construction.

@@ -38,7 +38,7 @@ class QrUpdater {
     if (rows_absorbed_ == 0 && a.rows >= n_) {
       // First block: plain QR of the block seeds R and Q^T b.
       la::geqrt<T>(a, t_.view());
-      la::unmqr<T>(a, t_.view(), b, la::Trans::kTrans);
+      la::unmqr<T>(a, t_.view(), b, la::Trans::kTrans, 0);
       for (la::index_t j = 0; j < n_; ++j)
         for (la::index_t i = 0; i <= j; ++i) r_(i, j) = a(i, j);
       la::copy<T>(b.block(0, 0, n_, b.cols), qtb_.view());
@@ -52,7 +52,7 @@ class QrUpdater {
     // stacked tile no wider than its column count... any height works, so
     // absorb the whole block at once).
     la::tsqrt<T>(r_.view(), a, t_.view());
-    la::tsmqr<T>(a, t_.view(), qtb_.view(), b, la::Trans::kTrans);
+    la::tsmqr<T>(a, t_.view(), qtb_.view(), b, la::Trans::kTrans, 0);
     rows_absorbed_ += a.rows;
   }
 

@@ -31,7 +31,7 @@ struct DeviceProfile {
   StepTimes kernel;     // single-kernel times (Fig. 4 curves)
   StepTimes amortized;  // kernel / slots (saturated per-tile times)
   double update_throughput = 0;  // tiles per second, saturated
-  /// Factor-kernel inner block size the profile was measured/modeled at
+  /// Kernel inner block width the profile was measured/modeled at
   /// (0 = library default). A profile is only valid for schedules executed
   /// with the same ib; PlanConfig::inner_block carries it forward.
   la::index_t inner_block = 0;

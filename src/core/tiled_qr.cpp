@@ -16,7 +16,7 @@ void execute_task(const dag::Task& task, la::TiledMatrix<T>& a,
       break;
     case Op::kUnmqr:
       la::unmqr<T>(a.tile(task.i, task.k), tg.tile(task.i, task.k),
-                   a.tile(task.i, task.j), la::Trans::kTrans);
+                   a.tile(task.i, task.j), la::Trans::kTrans, inner_block);
       break;
     case Op::kTsqrt:
       la::tsqrt<T>(a.tile(task.p, task.k), a.tile(task.i, task.k),
@@ -25,7 +25,7 @@ void execute_task(const dag::Task& task, la::TiledMatrix<T>& a,
     case Op::kTsmqr:
       la::tsmqr<T>(a.tile(task.i, task.k), te.tile(task.i, task.k),
                    a.tile(task.p, task.j), a.tile(task.i, task.j),
-                   la::Trans::kTrans);
+                   la::Trans::kTrans, inner_block);
       break;
     case Op::kTtqrt:
       la::ttqrt<T>(a.tile(task.p, task.k), a.tile(task.i, task.k),
@@ -104,7 +104,8 @@ la::Matrix<T> TiledQrFactorization<T>::r() const {
 template <typename T>
 void apply_q_tiles(const dag::TaskGraph& graph, const la::TiledMatrix<T>& a,
                    const la::TiledMatrix<T>& tg, const la::TiledMatrix<T>& te,
-                   la::MatrixView<T> c, la::Trans trans) {
+                   la::MatrixView<T> c, la::Trans trans,
+                   la::index_t inner_block) {
   TQR_REQUIRE(c.rows == a.rows(), "apply_q: row mismatch");
   const la::index_t b = a.tile_size();
   auto row_block = [&](std::int32_t i) {
@@ -114,11 +115,12 @@ void apply_q_tiles(const dag::TaskGraph& graph, const la::TiledMatrix<T>& a,
     switch (task.op) {
       case dag::Op::kGeqrt:
         la::unmqr<T>(a.tile(task.i, task.k), tg.tile(task.i, task.k),
-                     row_block(task.i), trans);
+                     row_block(task.i), trans, inner_block);
         break;
       case dag::Op::kTsqrt:
         la::tsmqr<T>(a.tile(task.i, task.k), te.tile(task.i, task.k),
-                     row_block(task.p), row_block(task.i), trans);
+                     row_block(task.p), row_block(task.i), trans,
+                     inner_block);
         break;
       case dag::Op::kTtqrt:
         la::ttmqr<T>(a.tile(task.i, task.k), te.tile(task.i, task.k),
@@ -141,7 +143,7 @@ void apply_q_tiles(const dag::TaskGraph& graph, const la::TiledMatrix<T>& a,
 template <typename T>
 void TiledQrFactorization<T>::apply_q(la::MatrixView<T> c,
                                       la::Trans trans) const {
-  apply_q_tiles<T>(graph_, a_, tg_, te_, c, trans);
+  apply_q_tiles<T>(graph_, a_, tg_, te_, c, trans, inner_block_);
 }
 
 template <typename T>
@@ -278,12 +280,14 @@ template void apply_q_tiles<float>(const dag::TaskGraph&,
                                    const la::TiledMatrix<float>&,
                                    const la::TiledMatrix<float>&,
                                    const la::TiledMatrix<float>&,
-                                   la::MatrixView<float>, la::Trans);
+                                   la::MatrixView<float>, la::Trans,
+                                   la::index_t);
 template void apply_q_tiles<double>(const dag::TaskGraph&,
                                     const la::TiledMatrix<double>&,
                                     const la::TiledMatrix<double>&,
                                     const la::TiledMatrix<double>&,
-                                    la::MatrixView<double>, la::Trans);
+                                    la::MatrixView<double>, la::Trans,
+                                    la::index_t);
 template class TiledQrFactorization<float>;
 template class TiledQrFactorization<double>;
 template la::Matrix<float> qr_solve<float>(const la::Matrix<float>&,

@@ -22,9 +22,11 @@
 namespace tqr::core {
 
 /// Executes one task against tile storage. Exposed so executors, tests, and
-/// the examples can drive custom schedules. inner_block is the recursion
-/// leaf width of the factor kernels (la::geqrt/tsqrt/ttqrt; <= 0 selects the
-/// tuned default); the apply kernels do not depend on it.
+/// the examples can drive custom schedules. inner_block is the kernels' `ib`
+/// (<= 0 selects la::kPanelBase): the panel and T block width of
+/// la::geqrt/tsqrt, which their applies unmqr/tsmqr walk, and the recursion
+/// leaf width of la::ttqrt. Every task of one factorization must run with
+/// the same value.
 template <typename T>
 void execute_task(const dag::Task& task, la::TiledMatrix<T>& a,
                   la::TiledMatrix<T>& tg, la::TiledMatrix<T>& te,
@@ -33,13 +35,16 @@ void execute_task(const dag::Task& task, la::TiledMatrix<T>& a,
 /// Applies Q (kNoTrans) or Q^T (kTrans) of a completed tiled factorization
 /// to c in place by replaying the factor tasks of `graph` against the tile
 /// storage the factorization wrote (a = factored tiles, tg/te = block
-/// reflectors). c.rows must equal a.rows(). Free-standing so callers that
-/// own tile storage directly — e.g. tqr::svc's pooled workspaces — can apply
-/// Q without wrapping the tiles in a TiledQrFactorization.
+/// reflectors). c.rows must equal a.rows(), and inner_block must be the one
+/// the factor tasks ran with (it fixes the T block layout). Free-standing so
+/// callers that own tile storage directly — e.g. tqr::svc's pooled
+/// workspaces — can apply Q without wrapping the tiles in a
+/// TiledQrFactorization.
 template <typename T>
 void apply_q_tiles(const dag::TaskGraph& graph, const la::TiledMatrix<T>& a,
                    const la::TiledMatrix<T>& tg, const la::TiledMatrix<T>& te,
-                   la::MatrixView<T> c, la::Trans trans);
+                   la::MatrixView<T> c, la::Trans trans,
+                   la::index_t inner_block);
 
 template <typename T>
 class TiledQrFactorization {
@@ -52,8 +57,9 @@ class TiledQrFactorization {
     /// Row groups for Elimination::kHier (0 = single group when no plan is
     /// given; with a plan the plan's resolved group count wins).
     std::int32_t hier_groups = 0;
-    /// Inner blocking width for the tile kernels (0 = unblocked). Purely a
-    /// locality knob; the factorization is numerically valid either way.
+    /// Inner block width `ib` of the tile kernels (0 = la::kPanelBase, >= the
+    /// tile size = one full-T block). Kept with the factors, so apply_q and
+    /// solve replay them with the same value.
     la::index_t inner_block = 0;
     /// When set, run on the host pool with this many slave threads per
     /// participating device group, routed by `plan`; otherwise sequential.

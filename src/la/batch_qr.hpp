@@ -22,7 +22,8 @@
 //
 // Numerics: the per-lane Householder recipe matches la::detail::larfg except
 // that the column norm is sqrt(sum of squares) rather than hypot-accumulated,
-// because the latter serializes the lane loop. For the |a_ij| <= O(1),
+// because the latter serializes the lane loop, and that there is no
+// safe-minimum rescale. For the |a_ij| <= O(1),
 // rows <= a few hundred regime this engine targets, the difference is a few
 // ulps; parity with the single-matrix path is within verify tolerance, not
 // bitwise.

@@ -38,7 +38,7 @@ class BlockedQr {
 
   /// Applies Q (kNoTrans) or Q^T (kTrans) to c (c.rows == rows()).
   void apply_q(MatrixView<T> c, Trans trans) const {
-    unmqr<T>(a_.view(), t_.view(), c, trans);
+    unmqr<T>(a_.view(), t_.view(), c, trans, nb_);
   }
 
   Matrix<T> q() const {

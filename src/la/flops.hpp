@@ -6,15 +6,19 @@
 // for square b x b tiles; lower-order terms are kept where they matter for
 // the small tile sizes the paper sweeps (4..28).
 //
-// T-factor accounting: the factor kernels (geqrt/tsqrt/ttqrt) build the FULL
-// upper-triangular compact-WY factor Tf, whatever inner block size (recursion
-// leaf width) `ib` they were run with — the recursive merges assemble exactly
-// the T the unblocked kernel builds incrementally, at the same leading-order
-// cost. The counts below therefore include the full-T work and do not vary
-// with `ib`; the parameter is part of the contract so call sites record the
-// configuration they measured, and so a future PLASMA-style diag-block-T
-// variant (whose T work is only O(b^2 ib)) cannot silently inherit inflated
-// rates. Derivation per b x b tile, reflector k = 0..b-1:
+// T-factor accounting: the counts below are NOMINAL and charge the factor
+// kernels (geqrt/tsqrt/ttqrt) for building the FULL upper-triangular
+// compact-WY factor Tf, whatever inner block size `ib` they ran with. ttqrt
+// still builds the full Tf; geqrt and tsqrt build only its ib x ib diagonal
+// blocks (PLASMA-style inner blocking, T work O(b^2 ib)), so their real flop
+// count is lower and a rate computed from these counts — the host
+// kernels_gbench geqrt/tsqrt rows, la.{geqrt,tsqrt}.gflops — is an effective
+// rate: compare seconds per call (sec_per_call, busy_ms) across versions,
+// not GFLOP/s. The counts stay fixed so rates recorded before and after the
+// change stay on one scale (the sim/ device model keeps its own classical
+// factor proxies; see sim/device.cpp). `ib` is accepted so call sites
+// record the configuration they measured. Derivation per b x b tile,
+// reflector k = 0..b-1:
 //   cross products V(:,0:k)^T v_k   geqrt 2k(b-k) -> b^3/3
 //                                   tsqrt 2kb     -> b^3
 //                                   ttqrt ~k^2    -> b^3/3
@@ -27,7 +31,7 @@
 
 namespace tqr::la {
 
-/// GEQRT on a b x b tile, including the full block-reflector factor build.
+/// GEQRT on a b x b tile, nominally charged for the full T build (above).
 inline double flops_geqrt(index_t b, index_t /*ib*/ = 0) {
   const double n = b;
   // Factorization 4/3 n^3 + full-T build (cross dots n^3/3 + triangular

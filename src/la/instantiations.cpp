@@ -21,13 +21,13 @@ template class ReferenceQr<double>;
   template void geqrt<T>(MatrixView<T>, MatrixView<T>, index_t);            \
   template void geqrt_unblocked<T>(MatrixView<T>, MatrixView<T>);           \
   template void unmqr<T>(ConstMatrixView<T>, ConstMatrixView<T>,            \
-                         MatrixView<T>, Trans);                             \
+                         MatrixView<T>, Trans, index_t);                    \
   template void tsqrt<T>(MatrixView<T>, MatrixView<T>, MatrixView<T>,       \
                          index_t);                                          \
   template void tsqrt_unblocked<T>(MatrixView<T>, MatrixView<T>,            \
                                    MatrixView<T>);                          \
   template void tsmqr<T>(ConstMatrixView<T>, ConstMatrixView<T>,            \
-                         MatrixView<T>, MatrixView<T>, Trans);              \
+                         MatrixView<T>, MatrixView<T>, Trans, index_t);     \
   template void ttqrt<T>(MatrixView<T>, MatrixView<T>, MatrixView<T>,       \
                          index_t);                                          \
   template void ttqrt_unblocked<T>(MatrixView<T>, MatrixView<T>,            \

@@ -2,7 +2,7 @@
 //
 // All kernels use the compact-WY representation: a factored tile stores the
 // Householder vectors V (unit diagonal implicit) together with an upper
-// triangular block-reflector factor Tf such that
+// triangular block-reflector factor Tf per block of reflectors such that
 //
 //   Q  = I - V * Tf  * V^T            (product H_0 H_1 ... H_{k-1})
 //   Q^T= I - V * Tf^T * V^T
@@ -19,31 +19,35 @@
 // upper-triangular, which is what makes tree (TT) elimination cheaper per
 // level. The structured top part of V (identity columns) is always implicit.
 //
-// The factor kernels (geqrt/tsqrt/ttqrt) are recursive-halving
-// (Elmroth/Gustavson style): the column range is split in two, each half is
-// factored recursively, the right half's columns are updated with the left
-// half's compact-WY apply, and the two block reflectors are merged into one
-// FULL upper-triangular Tf via
+// Inner blocking (PLASMA's `ib`, Buttari et al.): geqrt and tsqrt factor a
+// tile in ib-wide column panels. Each panel runs the unblocked leaf, then one
+// single-block compact-WY apply updates the trailing columns. Tf keeps only
+// the panels' ib x ib diagonal blocks and is zero everywhere else:
 //
-//   T12 = -T11 (V1^T V2) T22.
+//   Q = Q_0 Q_1 ... Q_{p-1},   Q_j = I - V_j Tf_jj V_j^T.
 //
-// That routes all trailing-submatrix and T-assembly work through
-// la::gemm/trmm (micro-kernel eligible) instead of scalar rank-1 loops, and
-// — because the merged Tf is the full one — the apply kernels need not know
-// how the tile was factored: unmqr/tsmqr/ttmqr work unchanged. The recursion
-// leaf width is the `ib` parameter (inner block size); `ib <= 0` selects
-// kPanelBase, `ib >= n` degenerates to the unblocked reference kernels
-// (geqrt_unblocked & co.), which double as the recursion base case. The TS
-// merge exploits the implicit-identity tops (V1^T V2 is a plain gemm of the
-// dense blocks); the TT recursion works on pentagonal V sub-blocks (dense
-// top + non-unit upper-triangular bottom) and never touches R2 below its
-// diagonal.
+// unmqr and tsmqr apply those blocks in turn (ascending for Q^T, descending
+// for Q) through one reused W workspace, so they take the `ib` the tile was
+// factored with as a required argument. `ib <= 0` selects kPanelBase;
+// `ib >= b` is a single block, i.e. the full Tf of the unblocked reference
+// kernels (geqrt_unblocked & co.), which are also the panel leaves. A full
+// Tf may be applied with any `ib`: its diagonal blocks are exactly the panel
+// factors.
+//
+// ttqrt keeps recursive halving (Elmroth/Gustavson style) with `ib` as the
+// leaf width: the two halves' block reflectors merge into one FULL Tf via
+// T12 = -T11 (V1^T V2) T22 over pentagonal V sub-blocks (dense top +
+// non-unit upper-triangular bottom) that never touch R2 below its diagonal,
+// so ttmqr takes no `ib`.
 //
 // Numerical contract (asserted by the test suite): for random tiles,
-// reconstruction and orthogonality residuals are O(eps * n).
+// reconstruction and orthogonality residuals are O(eps * n), also for tiles
+// scaled down into the subnormal range.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "la/blas.hpp"
@@ -51,21 +55,48 @@
 
 namespace tqr::la {
 
+/// Default inner block width `ib` (used when callers pass ib <= 0): the
+/// panel width of geqrt/tsqrt, hence the Tf block width their applies walk,
+/// and the recursion leaf width of ttqrt. The leaves run SIMD column
+/// dots/axpys; the trailing updates between panels run on the packed
+/// gemm/trmm engine. Swept on avx512f (EXPERIMENTS.md, "Inner-blocked T"):
+/// 32 beats 64 for geqrt and tsqrt at tiles 64-256, and 16 drops unmqr onto
+/// its fused small path (kWyFusedMax), which runs about 2.5x slower.
+inline constexpr index_t kPanelBase = 32;
+
 namespace detail {
 
-/// Householder generation on [alpha; x]: returns tau and beta, scales x into
-/// the reflector tail v (v0 = 1 implicit). tau == 0 means H = I.
+/// Householder generation on [alpha; x] (LAPACK dlarfg): returns tau and
+/// beta, scales x into the reflector tail v (v0 = 1 implicit). tau == 0 means
+/// H = I. A beta below the safe minimum would overflow 1 / (alpha - beta), so
+/// [alpha; x] is scaled up first (at most 20 times, as in dlarfg) and beta
+/// scaled back at the end.
 template <typename T>
 T larfg(T& alpha, MatrixView<T> x, T& beta) {
-  const T xnorm = nrm2<T>(x);
+  T xnorm = nrm2<T>(x);
   if (xnorm == T(0)) {
     beta = alpha;
     return T(0);
   }
   beta = -std::copysign(std::hypot(alpha, xnorm), alpha);
+  const T safmin = std::numeric_limits<T>::min() /
+                   (std::numeric_limits<T>::epsilon() / T(2));
+  int knt = 0;
+  if (std::abs(beta) < safmin) {
+    const T rsafmn = T(1) / safmin;
+    do {
+      ++knt;
+      for (index_t i = 0; i < x.rows; ++i) x(i, 0) *= rsafmn;
+      beta *= rsafmn;
+      alpha *= rsafmn;
+    } while (std::abs(beta) < safmin && knt < 20);
+    xnorm = nrm2<T>(x);
+    beta = -std::copysign(std::hypot(alpha, xnorm), alpha);
+  }
   const T tau = (beta - alpha) / beta;
   const T scale = T(1) / (alpha - beta);
   for (index_t i = 0; i < x.rows; ++i) x(i, 0) *= scale;
+  for (int j = 0; j < knt; ++j) beta *= safmin;
   alpha = beta;
   return tau;
 }
@@ -84,20 +115,24 @@ void scaled_triu_matvec(MatrixView<T> t, index_t k, const T* z, T scale) {
   }
 }
 
+/// The Tf block width for a caller-supplied `ib` over k reflectors.
+inline index_t inner_block_width(index_t ib, index_t k) {
+  return std::min(ib <= 0 ? kPanelBase : ib, k);
+}
+
+/// Start column of the q-th of `blocks` nb-wide reflector blocks to apply:
+/// Q^T = Q_{p-1}^T ... Q_0^T applies block 0 first, Q applies it last.
+inline index_t block_start(index_t q, index_t blocks, index_t nb,
+                           Trans trans) {
+  return (trans == Trans::kTrans ? q : blocks - 1 - q) * nb;
+}
+
 }  // namespace detail
 
-/// Default recursion leaf width for the factor kernels (the `ib` used when
-/// callers pass ib <= 0). The unblocked leaves run SIMD column dots/axpys;
-/// below the leaf width the recursion's merges and trailing applies run on
-/// the packed gemm/trmm engine, which outruns the leaves once a panel is
-/// wider than 32. Swept on avx512f with the packed trmm: 32 beats 64 for
-/// geqrt and tsqrt at tile 64-128, 16 ties 32, and all tie at 256.
-inline constexpr index_t kPanelBase = 32;
-
 /// Unblocked QR of an m x n tile (m >= n), in place: the scalar reference
-/// kernel and the recursion base case. On exit: upper triangle of `a` holds
-/// R; below-diagonal holds the Householder vectors V (unit diagonal
-/// implicit); `t` (n x n) holds the upper-triangular block reflector factor.
+/// kernel and the panel leaf. On exit: upper triangle of `a` holds R;
+/// below-diagonal holds the Householder vectors V (unit diagonal implicit);
+/// `t` (n x n) holds the full upper-triangular block reflector factor.
 template <typename T>
 void geqrt_unblocked(MatrixView<T> a, MatrixView<T> t) {
   const index_t m = a.rows, n = a.cols;
@@ -141,15 +176,15 @@ void geqrt_unblocked(MatrixView<T> a, MatrixView<T> t) {
 /// enough for the packed micro-kernel to dominate.
 inline constexpr index_t kWyFusedMax = 16;
 
-/// Applies the Q of a geqrt-factored tile to C from the left.
-/// `v` is the factored tile (m x k, reflectors below the diagonal),
-/// `t` its block reflector factor (k x k). trans == kTrans applies Q^T.
+/// Applies the Q of a geqrt-factored tile to C from the left; trans ==
+/// kTrans applies Q^T. `v` is the factored tile (m x k, reflectors below the
+/// diagonal), `t` its block reflector factor and `ib` the inner block width
+/// geqrt ran with. Block [s, s+kb) of Q acts on rows s..m of C only.
 ///
-/// For k > kWyFusedMax the three compact-WY steps are expressed on V's
-/// structure — V = [V1; V2] with V1 unit lower triangular (k x k) and V2
-/// dense ((m-k) x k) — so the dense bulk runs as gemm (micro-kernel
-/// eligible) and the triangular parts as trmm, instead of branchy element
-/// loops:
+/// For kb > kWyFusedMax the three compact-WY steps are expressed on the
+/// block's structure — V = [V1; V2] with V1 unit lower triangular (kb x kb)
+/// and V2 dense — so the dense bulk runs as gemm (micro-kernel eligible) and
+/// the triangular parts as trmm, instead of branchy element loops:
 ///   W  = V1^T C1        (unit-lower trmm, out of place)
 ///   W += V2^T C2        (gemm)
 ///   W  = op(Tf) W       (upper trmm)
@@ -159,64 +194,73 @@ inline constexpr index_t kWyFusedMax = 16;
 /// never touched.
 template <typename T>
 void unmqr(ConstMatrixView<T> v, ConstMatrixView<T> t, MatrixView<T> c,
-           Trans trans) {
+           Trans trans, index_t ib) {
   const index_t m = c.rows, n = c.cols, k = v.cols;
   TQR_REQUIRE(v.rows == m, "unmqr: V/C row mismatch");
   TQR_REQUIRE(t.rows >= k && t.cols >= k, "unmqr: T factor too small");
+  const index_t nb = detail::inner_block_width(ib, k);
+  const index_t blocks = k == 0 ? 0 : (k + nb - 1) / nb;
+  const Trans op_t = trans == Trans::kNoTrans ? Trans::kNoTrans : Trans::kTrans;
+  Matrix<T> w_buf(nb, n);
 
-  if (k <= kWyFusedMax) {
-    // Fused small path: W = V^T C with V unit lower trapezoidal (garbage
-    // above the diagonal of the stored tile must be ignored).
-    Matrix<T> w(k, n);
-    for (index_t j = 0; j < n; ++j)
-      for (index_t p = 0; p < k; ++p)
-        w(p, j) = c(p, j) +
-                  mk::dot<T>(m - p - 1, v.data + (p + 1) + p * v.ld,
-                             c.data + (p + 1) + j * c.ld);
-    trmm_left<T>(UpLo::kUpper, trans == Trans::kNoTrans ? Trans::kNoTrans
-                                                        : Trans::kTrans,
-                 Diag::kNonUnit, t.block(0, 0, k, k), w.view());
-    for (index_t j = 0; j < n; ++j)
-      for (index_t p = 0; p < k; ++p) {
-        const T wpj = w(p, j);
-        if (wpj == T(0)) continue;
-        c(p, j) -= wpj;
-        mk::axpy<T>(m - p - 1, -wpj, v.data + (p + 1) + p * v.ld,
-                    c.data + (p + 1) + j * c.ld);
-      }
-    return;
+  for (index_t q = 0; q < blocks; ++q) {
+    const index_t s = detail::block_start(q, blocks, nb, trans);
+    const index_t kb = std::min(nb, k - s), mb = m - s;
+    const auto vb = v.block(s, s, mb, kb);
+    const auto tb = t.block(s, s, kb, kb);
+    auto cb = c.block(s, 0, mb, n);
+    auto w = w_buf.block(0, 0, kb, n);
+
+    if (kb <= kWyFusedMax) {
+      // Fused small path: W = V^T C with V unit lower trapezoidal (garbage
+      // above the diagonal of the stored tile must be ignored).
+      for (index_t j = 0; j < n; ++j)
+        for (index_t p = 0; p < kb; ++p)
+          w(p, j) = cb(p, j) +
+                    mk::dot<T>(mb - p - 1, vb.data + (p + 1) + p * vb.ld,
+                               cb.data + (p + 1) + j * cb.ld);
+      trmm_left<T>(UpLo::kUpper, op_t, Diag::kNonUnit, tb, w);
+      for (index_t j = 0; j < n; ++j)
+        for (index_t p = 0; p < kb; ++p) {
+          const T wpj = w(p, j);
+          if (wpj == T(0)) continue;
+          cb(p, j) -= wpj;
+          mk::axpy<T>(mb - p - 1, -wpj, vb.data + (p + 1) + p * vb.ld,
+                      cb.data + (p + 1) + j * cb.ld);
+        }
+      continue;
+    }
+
+    const auto v1 = vb.block(0, 0, kb, kb);
+    auto c1 = cb.block(0, 0, kb, n);
+
+    // W = V1^T C1 + V2^T C2.
+    trmm_left<T>(UpLo::kLower, Trans::kTrans, Diag::kUnit, T(1), v1, c1, T(0),
+                 w);
+    if (mb > kb)
+      gemm<T>(Trans::kTrans, Trans::kNoTrans, T(1),
+              vb.block(kb, 0, mb - kb, kb), cb.block(kb, 0, mb - kb, n), T(1),
+              w);
+
+    // W = op(Tf) W. Q uses Tf, Q^T uses Tf^T.
+    trmm_left<T>(UpLo::kUpper, op_t, Diag::kNonUnit, tb, w);
+
+    // C1 -= V1 W, C2 -= V2 W.
+    trmm_left<T>(UpLo::kLower, Trans::kNoTrans, Diag::kUnit, T(-1), v1, w,
+                 T(1), c1);
+    if (mb > kb)
+      gemm<T>(Trans::kNoTrans, Trans::kNoTrans, T(-1),
+              vb.block(kb, 0, mb - kb, kb), w, T(1),
+              cb.block(kb, 0, mb - kb, n));
   }
-
-  const auto v1 = v.block(0, 0, k, k);
-  auto c1 = c.block(0, 0, k, n);
-
-  // W = V1^T C1 + V2^T C2.
-  Matrix<T> w(k, n);
-  trmm_left<T>(UpLo::kLower, Trans::kTrans, Diag::kUnit, T(1), v1, c1, T(0),
-               w.view());
-  if (m > k)
-    gemm<T>(Trans::kTrans, Trans::kNoTrans, T(1), v.block(k, 0, m - k, k),
-            c.block(k, 0, m - k, n), T(1), w.view());
-
-  // W = op(Tf) W. Q uses Tf, Q^T uses Tf^T.
-  trmm_left<T>(UpLo::kUpper, trans == Trans::kNoTrans ? Trans::kNoTrans
-                                                      : Trans::kTrans,
-               Diag::kNonUnit, t.block(0, 0, k, k), w.view());
-
-  // C1 -= V1 W, C2 -= V2 W.
-  trmm_left<T>(UpLo::kLower, Trans::kNoTrans, Diag::kUnit, T(-1), v1, w.view(),
-               T(1), c1);
-  if (m > k)
-    gemm<T>(Trans::kNoTrans, Trans::kNoTrans, T(-1), v.block(k, 0, m - k, k),
-            w.view(), T(1), c.block(k, 0, m - k, n));
 }
 
 /// Unblocked TS (triangle-on-top-of-square) QR of [R1; A2]: the scalar
-/// reference kernel and the recursion base case. R1 (b x b) is upper
-/// triangular and A2 (m2 x b) dense. On exit R1 holds the new R (only its
-/// upper triangle is read or written, so the V of a geqrt-factored diagonal
-/// tile survives underneath), A2 holds the dense reflector block V2, and `t`
-/// the block reflector factor.
+/// reference kernel and the panel leaf. R1 (b x b) is upper triangular and
+/// A2 (m2 x b) dense. On exit R1 holds the new R (only its upper triangle is
+/// read or written, so the V of a geqrt-factored diagonal tile survives
+/// underneath), A2 holds the dense reflector block V2, and `t` the full block
+/// reflector factor.
 template <typename T>
 void tsqrt_unblocked(MatrixView<T> r1, MatrixView<T> a2, MatrixView<T> t) {
   const index_t b = r1.cols, m2 = a2.rows;
@@ -253,29 +297,40 @@ void tsqrt_unblocked(MatrixView<T> r1, MatrixView<T> a2, MatrixView<T> t) {
 }
 
 /// Applies the Q of a tsqrt factorization to the stacked pair [C1; C2].
-/// `v2` is the dense reflector block from tsqrt (m2 x b), `t` its factor.
+/// `v2` is the dense reflector block from tsqrt (m2 x b), `t` its factor and
+/// `ib` the inner block width tsqrt ran with. Block [s, s+kb) of Q acts on
+/// rows s..s+kb of C1 and all of C2.
 template <typename T>
 void tsmqr(ConstMatrixView<T> v2, ConstMatrixView<T> t, MatrixView<T> c1,
-           MatrixView<T> c2, Trans trans) {
+           MatrixView<T> c2, Trans trans, index_t ib) {
   const index_t b = v2.cols, n = c1.cols, m2 = v2.rows;
   TQR_REQUIRE(c1.rows == b, "tsmqr: C1 must have b rows");
   TQR_REQUIRE(c2.rows == m2 && c2.cols == n, "tsmqr: C2 shape mismatch");
   TQR_REQUIRE(t.rows >= b && t.cols >= b, "tsmqr: T factor too small");
+  const index_t nb = detail::inner_block_width(ib, b);
+  const index_t blocks = b == 0 ? 0 : (b + nb - 1) / nb;
+  const Trans op_t = trans == Trans::kNoTrans ? Trans::kNoTrans : Trans::kTrans;
+  Matrix<T> w_buf(nb, n);
 
-  // W = C1 + V2^T C2.
-  Matrix<T> w(b, n);
-  copy<T>(c1, w.view());
-  gemm<T>(Trans::kTrans, Trans::kNoTrans, T(1), v2, c2, T(1), w.view());
+  for (index_t q = 0; q < blocks; ++q) {
+    const index_t s = detail::block_start(q, blocks, nb, trans);
+    const index_t kb = std::min(nb, b - s);
+    const auto vb = v2.block(0, s, m2, kb);
+    auto c1b = c1.block(s, 0, kb, n);
+    auto w = w_buf.block(0, 0, kb, n);
 
-  // W = op(Tf) W.
-  trmm_left<T>(UpLo::kUpper, trans == Trans::kNoTrans ? Trans::kNoTrans
-                                                      : Trans::kTrans,
-               Diag::kNonUnit, t.block(0, 0, b, b), w.view());
+    // W = C1 + V2^T C2.
+    copy<T>(c1b, w);
+    gemm<T>(Trans::kTrans, Trans::kNoTrans, T(1), vb, c2, T(1), w);
 
-  // [C1; C2] -= [I; V2] W.
-  for (index_t j = 0; j < n; ++j)
-    for (index_t i = 0; i < b; ++i) c1(i, j) -= w(i, j);
-  gemm<T>(Trans::kNoTrans, Trans::kNoTrans, T(-1), v2, w.view(), T(1), c2);
+    // W = op(Tf) W.
+    trmm_left<T>(UpLo::kUpper, op_t, Diag::kNonUnit, t.block(s, s, kb, kb), w);
+
+    // [C1; C2] -= [I; V2] W.
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < kb; ++i) c1b(i, j) -= w(i, j);
+    gemm<T>(Trans::kNoTrans, Trans::kNoTrans, T(-1), vb, w, T(1), c2);
+  }
 }
 
 /// Unblocked TT (triangle-on-top-of-triangle) QR of [R1; R2], both upper
@@ -369,83 +424,6 @@ void ttmqr(ConstMatrixView<T> v2, ConstMatrixView<T> t, MatrixView<T> c1,
 
 namespace detail {
 
-/// Resolves a caller-supplied inner block size to the recursion leaf width.
-inline index_t resolve_panel(index_t ib) {
-  return ib <= 0 ? kPanelBase : ib;
-}
-
-/// Left-half width for a recursive split of n columns: half of n rounded up
-/// to a multiple of the leaf width so the leaves stay uniform.
-inline index_t split_cols(index_t n, index_t base) {
-  const index_t half = (n + 1) / 2;
-  index_t n1 = (half + base - 1) / base * base;
-  if (n1 >= n) n1 = half;
-  return n1;
-}
-
-/// Recursive geqrt: factor the left half, apply its Q^T to the right
-/// columns, factor the bottom-right, then merge the two block reflectors
-/// into the full Tf via T12 = -T11 (V1^T V2) T22.
-template <typename T>
-void geqrt_rec(MatrixView<T> a, MatrixView<T> t, index_t base) {
-  const index_t m = a.rows, n = a.cols;
-  if (n <= base) {
-    geqrt_unblocked<T>(a, t);
-    return;
-  }
-  const index_t n1 = split_cols(n, base), n2 = n - n1;
-  auto a1 = a.block(0, 0, m, n1);
-  auto t11 = t.block(0, 0, n1, n1);
-  geqrt_rec<T>(a1, t11, base);
-  unmqr<T>(a1, t11, a.block(0, n1, m, n2), Trans::kTrans);
-  geqrt_rec<T>(a.block(n1, n1, m - n1, n2), t.block(n1, n1, n2, n2), base);
-
-  // X = V2^T V1b over the shared support rows n1..m (V1's rows above n1 meet
-  // only implicit zeros of V2): unit-lower trmm against V2's triangle plus a
-  // gemm over the dense remainder. W = V1^T V2 is then X^T.
-  Matrix<T> x(n2, n1);
-  trmm_left<T>(UpLo::kLower, Trans::kTrans, Diag::kUnit, T(1),
-               a.block(n1, n1, n2, n2), a.block(n1, 0, n2, n1), T(0),
-               x.view());
-  if (m > n1 + n2)
-    gemm<T>(Trans::kTrans, Trans::kNoTrans, T(1),
-            a.block(n1 + n2, n1, m - n1 - n2, n2),
-            a.block(n1 + n2, 0, m - n1 - n2, n1), T(1), x.view());
-  auto t12 = t.block(0, n1, n1, n2);
-  for (index_t j = 0; j < n2; ++j)
-    for (index_t i = 0; i < n1; ++i) t12(i, j) = -x(j, i);
-  trmm_left<T>(UpLo::kUpper, Trans::kNoTrans, Diag::kNonUnit, t11, t12);
-  trmm_right<T>(UpLo::kUpper, Trans::kNoTrans, Diag::kNonUnit,
-                t.block(n1, n1, n2, n2), t12);
-}
-
-/// Recursive tsqrt. The implicit-identity tops make the merge cross product
-/// V1^T V2 a plain gemm of the dense A2 column blocks.
-template <typename T>
-void tsqrt_rec(MatrixView<T> r1, MatrixView<T> a2, MatrixView<T> t,
-               index_t base) {
-  const index_t b = r1.cols, m2 = a2.rows;
-  if (b <= base) {
-    tsqrt_unblocked<T>(r1, a2, t);
-    return;
-  }
-  const index_t n1 = split_cols(b, base), n2 = b - n1;
-  auto v1 = a2.block(0, 0, m2, n1);
-  auto t11 = t.block(0, 0, n1, n1);
-  tsqrt_rec<T>(r1.block(0, 0, n1, n1), v1, t11, base);
-  tsmqr<T>(v1, t11, r1.block(0, n1, n1, n2), a2.block(0, n1, m2, n2),
-           Trans::kTrans);
-  tsqrt_rec<T>(r1.block(n1, n1, n2, n2), a2.block(0, n1, m2, n2),
-               t.block(n1, n1, n2, n2), base);
-
-  auto t12 = t.block(0, n1, n1, n2);
-  gemm<T>(Trans::kTrans, Trans::kNoTrans, T(-1), v1,
-          a2.block(0, n1, m2, n2), T(0), t12);
-  trmm_left<T>(UpLo::kUpper, Trans::kNoTrans, Diag::kNonUnit, t11, t12);
-  trmm_right<T>(UpLo::kUpper, Trans::kNoTrans, Diag::kNonUnit,
-                t.block(n1, n1, n2, n2), t12);
-}
-
 /// Pentagonal ttqrt base case: factors global columns [s, s+w), eliminating
 /// R2 rows 0..s+w-1. Column c of V2 has support rows 0..c (the dense top s
 /// rows come from reflectors of earlier recursion levels having filled the
@@ -528,7 +506,11 @@ void ttqrt_rec(MatrixView<T> r1, MatrixView<T> r2, MatrixView<T> t,
     ttqrt_pent_base<T>(r1, r2, t, s, w);
     return;
   }
-  const index_t w1 = split_cols(w, base), w2 = w - w1;
+  // Left width: half of w rounded up to a multiple of the leaf width, so the
+  // leaves stay uniform.
+  index_t w1 = ((w + 1) / 2 + base - 1) / base * base;
+  if (w1 >= w) w1 = (w + 1) / 2;
+  const index_t w2 = w - w1;
   ttqrt_rec<T>(r1, r2, t, s, w1, base);
   ttqrt_pent_apply_qt<T>(r1, r2, t, s, w1, w2);
   ttqrt_rec<T>(r1, r2, t, s + w1, w2, base);
@@ -553,50 +535,58 @@ void ttqrt_rec(MatrixView<T> r1, MatrixView<T> r2, MatrixView<T> t,
 
 }  // namespace detail
 
-/// QR factorization of an m x n tile (m >= n), in place, via recursive
-/// halving with leaf width `ib` (<= 0 selects kPanelBase, >= n runs the
-/// unblocked reference kernel). On exit: upper triangle of `a` holds R;
-/// below-diagonal the Householder vectors V (unit diagonal implicit); `t`
-/// (n x n) the FULL upper-triangular block reflector factor — applies never
-/// need to know `ib`.
+/// QR factorization of an m x n tile (m >= n), in place, in `ib`-wide panels
+/// (<= 0 selects kPanelBase, >= n runs the unblocked reference kernel). On
+/// exit: upper triangle of `a` holds R; below-diagonal the Householder
+/// vectors V (unit diagonal implicit); `t` (n x n) the panels' block
+/// reflector factors on its diagonal and zeros elsewhere. Apply with
+/// unmqr(..., ib) using the same `ib`.
 template <typename T>
 void geqrt(MatrixView<T> a, MatrixView<T> t, index_t ib = 0) {
   const index_t m = a.rows, n = a.cols;
   TQR_REQUIRE(m >= n, "geqrt: require rows >= cols");
   TQR_REQUIRE(t.rows >= n && t.cols >= n, "geqrt: T factor too small");
-  const index_t base = detail::resolve_panel(ib);
-  if (n <= base) {
-    geqrt_unblocked<T>(a, t);
-    return;
-  }
+  const index_t nb = detail::inner_block_width(ib, n);
   t.block(0, 0, n, n).fill(T(0));
-  detail::geqrt_rec<T>(a, t, base);
+  for (index_t s = 0; s < n; s += nb) {
+    const index_t kb = std::min(nb, n - s);
+    auto panel = a.block(s, s, m - s, kb);
+    geqrt_unblocked<T>(panel, t.block(s, s, kb, kb));
+    if (s + kb < n)
+      unmqr<T>(panel, t.block(s, s, kb, kb),
+               a.block(s, s + kb, m - s, n - s - kb), Trans::kTrans, kb);
+  }
 }
 
-/// TS (triangle-on-top-of-square) QR of [R1; A2], recursive with leaf width
-/// `ib` (same conventions as geqrt). Storage contract matches
-/// tsqrt_unblocked: R in R1's upper triangle (nothing else of R1 touched),
-/// dense V2 in A2, full Tf in `t`.
+/// TS (triangle-on-top-of-square) QR of [R1; A2] in `ib`-wide panels (same
+/// conventions as geqrt). Storage contract matches tsqrt_unblocked — R in
+/// R1's upper triangle (nothing else of R1 touched), dense V2 in A2 — except
+/// that `t` holds only the diagonal blocks. Apply with tsmqr(..., ib) using
+/// the same `ib`.
 template <typename T>
 void tsqrt(MatrixView<T> r1, MatrixView<T> a2, MatrixView<T> t,
            index_t ib = 0) {
-  const index_t b = r1.cols;
+  const index_t b = r1.cols, m2 = a2.rows;
   TQR_REQUIRE(r1.rows >= b, "tsqrt: R1 must be at least b x b");
   TQR_REQUIRE(a2.cols == b, "tsqrt: A2 column mismatch");
   TQR_REQUIRE(t.rows >= b && t.cols >= b, "tsqrt: T factor too small");
-  const index_t base = detail::resolve_panel(ib);
-  if (b <= base) {
-    tsqrt_unblocked<T>(r1, a2, t);
-    return;
-  }
+  const index_t nb = detail::inner_block_width(ib, b);
   t.block(0, 0, b, b).fill(T(0));
-  detail::tsqrt_rec<T>(r1, a2, t, base);
+  for (index_t s = 0; s < b; s += nb) {
+    const index_t kb = std::min(nb, b - s);
+    auto v2 = a2.block(0, s, m2, kb);
+    tsqrt_unblocked<T>(r1.block(s, s, kb, kb), v2, t.block(s, s, kb, kb));
+    if (s + kb < b)
+      tsmqr<T>(v2, t.block(s, s, kb, kb), r1.block(s, s + kb, kb, b - s - kb),
+               a2.block(0, s + kb, m2, b - s - kb), Trans::kTrans, kb);
+  }
 }
 
 /// TT (triangle-on-top-of-triangle) QR of [R1; R2], recursive with leaf
-/// width `ib` (same conventions as geqrt). Storage contract matches
-/// ttqrt_unblocked: V2 stays upper triangular (column k has support rows
-/// 0..k, entries below R2's diagonal are never written), full Tf in `t`.
+/// width `ib` (<= 0 selects kPanelBase, >= b runs the unblocked reference
+/// kernel). Storage contract matches ttqrt_unblocked: V2 stays upper
+/// triangular (column k has support rows 0..k, entries below R2's diagonal
+/// are never written), full Tf in `t`.
 template <typename T>
 void ttqrt(MatrixView<T> r1, MatrixView<T> r2, MatrixView<T> t,
            index_t ib = 0) {
@@ -604,8 +594,8 @@ void ttqrt(MatrixView<T> r1, MatrixView<T> r2, MatrixView<T> t,
   TQR_REQUIRE(r1.rows >= b && r2.rows >= b && r2.cols == b,
               "ttqrt: tiles must be b x b");
   TQR_REQUIRE(t.rows >= b && t.cols >= b, "ttqrt: T factor too small");
-  const index_t base = detail::resolve_panel(ib);
-  if (b <= base) {
+  const index_t base = detail::inner_block_width(ib, b);
+  if (base >= b) {
     ttqrt_unblocked<T>(r1, r2, t);
     return;
   }

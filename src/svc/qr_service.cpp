@@ -847,7 +847,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
       z(i, 0) = s;
     }
     core::apply_q_tiles<double>(*graph, ws->a, ws->tg, ws->te, z.view(),
-                                la::Trans::kNoTrans);
+                                la::Trans::kNoTrans, config_.inner_block);
     la::Matrix<double> ax(pr, 1);
     for (la::index_t i = 0; i < a.rows(); ++i) {
       double s = 0;
@@ -871,7 +871,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
       for (la::index_t i = 0; i <= j && i < pr; ++i)
         qr(i, j) = ws->a.at(i, j);
     core::apply_q_tiles<double>(*graph, ws->a, ws->tg, ws->te, qr.view(),
-                                la::Trans::kNoTrans);
+                                la::Trans::kNoTrans, config_.inner_block);
     double diff2 = 0, norm2 = 0;
     for (la::index_t j = 0; j < pc; ++j) {
       for (la::index_t i = 0; i < pr; ++i) {

@@ -83,7 +83,8 @@ struct ServiceConfig {
 
   /// Tile size for jobs that leave JobSpec::tile_size at 0.
   int default_tile = 16;
-  /// Recursion leaf width of the factor kernels (0 = the tuned default).
+  /// Inner block width `ib` of the tile kernels (0 = la::kPanelBase); the
+  /// factor tasks and every verify replay of their T factors use it.
   la::index_t inner_block = 0;
 
   /// Shutdown policy: by default the destructor drains every accepted job

@@ -1,7 +1,7 @@
-// The factor kernels at every inner block (recursion leaf) width must be
-// numerically interchangeable with the unblocked ones (same factored
-// subspace, machine-precision factors), including through the full tiled
-// factorization; the apply kernels take no ib at all.
+// The factor kernels at every inner block width must be numerically
+// interchangeable with the unblocked ones (same factored subspace,
+// machine-precision factors), including through the full tiled
+// factorization; the apply kernels are given the ib the factor ran with.
 #include "la/kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -24,7 +24,7 @@ TEST_P(IbWidths, GeqrtIbProducesValidQr) {
 
   // Q from the blocked factors via unmqr applied to the identity.
   Matrix<double> q = Matrix<double>::identity(b);
-  unmqr<double>(a.view(), t.view(), q.view(), Trans::kNoTrans);
+  unmqr<double>(a.view(), t.view(), q.view(), Trans::kNoTrans, ib);
   EXPECT_LT(orthogonality_residual<double>(q.view()),
             residual_tolerance<double>(b));
 
@@ -68,7 +68,7 @@ TEST_P(IbWidths, TsqrtIbEliminatesStackedTile) {
 
   // Applying Q^T to the original stack must reproduce [R_new; 0].
   Matrix<double> c1 = r1, c2 = a2_0;
-  tsmqr<double>(a2.view(), t.view(), c1.view(), c2.view(), Trans::kTrans);
+  tsmqr<double>(a2.view(), t.view(), c1.view(), c2.view(), Trans::kTrans, ib);
   for (index_t j = 0; j < b; ++j) {
     for (index_t i = 0; i <= j; ++i) EXPECT_NEAR(c1(i, j), r1w(i, j), 1e-9);
     for (index_t i = 0; i < b; ++i) EXPECT_NEAR(c2(i, j), 0.0, 1e-9);
@@ -87,8 +87,9 @@ TEST_P(IbWidths, TsmqrIbRoundTrips) {
   auto c1_0 = Matrix<double>::random(b, b, 1101 + ib);
   auto c2_0 = Matrix<double>::random(b, b, 1102 + ib);
   Matrix<double> c1 = c1_0, c2 = c2_0;
-  tsmqr<double>(v2.view(), t.view(), c1.view(), c2.view(), Trans::kTrans);
-  tsmqr<double>(v2.view(), t.view(), c1.view(), c2.view(), Trans::kNoTrans);
+  tsmqr<double>(v2.view(), t.view(), c1.view(), c2.view(), Trans::kTrans, ib);
+  tsmqr<double>(v2.view(), t.view(), c1.view(), c2.view(), Trans::kNoTrans,
+                ib);
   for (index_t j = 0; j < b; ++j)
     for (index_t i = 0; i < b; ++i) {
       EXPECT_NEAR(c1(i, j), c1_0(i, j), 1e-9);

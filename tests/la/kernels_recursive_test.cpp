@@ -1,9 +1,10 @@
-// Parity of the recursive (inner-blocked) factor kernels against the
-// unblocked reference kernels. The recursion computes the same Householder
-// reflectors in the same order, so V, R, and the full compact-WY factor T
-// must agree to machine precision — not just produce *a* valid QR. Swept
-// over leaf widths that hit every recursion shape (ib = 1 deepest, ib = b
-// degenerate to unblocked) and over fringe / tall-skinny tile geometries.
+// Parity of the inner-blocked factor kernels (geqrt/tsqrt panels, ttqrt
+// recursion) against the unblocked reference kernels. Both compute the same
+// Householder reflectors in the same order, so V, R, and the action of Q
+// (T applied with the factor's ib) must agree to machine precision — not
+// just produce *a* valid QR. Swept over widths that hit every blocking shape
+// (ib = 1 narrowest, ib = b degenerate to unblocked) and over fringe /
+// tall-skinny tile geometries.
 #include <gtest/gtest.h>
 
 #include "la/checks.hpp"
@@ -57,11 +58,11 @@ TEST_P(RecursiveGeqrt, MatchesUnblocked) {
   // V and R live in the same storage; compare the whole tile sign-aware.
   EXPECT_LT(max_row_sign_diff(rec, ref), tolerance<double>(m));
 
-  // The full T must also match: apply Q^T from each factor set to the
-  // original tile; both must reduce it to [R; 0].
+  // T must also match: apply Q^T from each factor set to the original
+  // tile; both must reduce it to [R; 0].
   Matrix<double> qa_rec = a0, qa_ref = a0;
-  unmqr<double>(rec.view(), t_rec.view(), qa_rec.view(), Trans::kTrans);
-  unmqr<double>(ref.view(), t_ref.view(), qa_ref.view(), Trans::kTrans);
+  unmqr<double>(rec.view(), t_rec.view(), qa_rec.view(), Trans::kTrans, ib);
+  unmqr<double>(ref.view(), t_ref.view(), qa_ref.view(), Trans::kTrans, 0);
   for (index_t j = 0; j < n; ++j)
     for (index_t i = n; i < m; ++i) {
       EXPECT_NEAR(qa_rec(i, j), 0.0, tolerance<double>(m)) << i << "," << j;
@@ -118,9 +119,9 @@ TEST_P(RecursiveWidths, TsqrtMatchesUnblocked) {
     Matrix<double> c1_rec = c1_0, c2_rec = c2_0;
     Matrix<double> c1_ref = c1_0, c2_ref = c2_0;
     tsmqr<double>(a2_rec.view(), t_rec.view(), c1_rec.view(), c2_rec.view(),
-                  Trans::kTrans);
+                  Trans::kTrans, ib);
     tsmqr<double>(a2_ref.view(), t_ref.view(), c1_ref.view(), c2_ref.view(),
-                  Trans::kTrans);
+                  Trans::kTrans, 0);
     EXPECT_LT(relative_error<double>(c1_rec.view(), c1_ref.view()),
               tolerance<double>(m2 + b));
     EXPECT_LT(relative_error<double>(c2_rec.view(), c2_ref.view()),
@@ -181,7 +182,7 @@ TEST_P(RecursiveWidths, FloatGeqrtBackwardStable) {
   geqrt<float>(a.view(), t.view(), ib);
 
   Matrix<float> qa = a0;
-  unmqr<float>(a.view(), t.view(), qa.view(), Trans::kTrans);
+  unmqr<float>(a.view(), t.view(), qa.view(), Trans::kTrans, ib);
   // Q^T A = [R; 0] at float precision, R matching the factored triangle.
   double worst = 0;
   for (index_t j = 0; j < n; ++j) {

@@ -25,7 +25,7 @@ TEST_P(GeqrtSizes, ReconstructsInputAndQOrthogonal) {
 
   // Q = unmqr applied to the identity.
   Matrix<double> q = Matrix<double>::identity(b);
-  unmqr<double>(a.view(), t.view(), q.view(), Trans::kNoTrans);
+  unmqr<double>(a.view(), t.view(), q.view(), Trans::kNoTrans, 0);
   EXPECT_LT(orthogonality_residual<double>(q.view()),
             residual_tolerance<double>(b));
 
@@ -45,7 +45,7 @@ TEST_P(GeqrtSizes, QtTimesAEqualsR) {
   geqrt<double>(a.view(), t.view());
 
   Matrix<double> qta = a0;
-  unmqr<double>(a.view(), t.view(), qta.view(), Trans::kTrans);
+  unmqr<double>(a.view(), t.view(), qta.view(), Trans::kTrans, 0);
   // Q^T A should equal R: upper triangle matches, lower ~ 0.
   for (index_t j = 0; j < b; ++j)
     for (index_t i = 0; i < b; ++i) {
@@ -64,8 +64,8 @@ TEST_P(GeqrtSizes, ApplyQThenQtIsIdentity) {
 
   auto c0 = Matrix<double>::random(b, b, 301 + b);
   Matrix<double> c = c0;
-  unmqr<double>(a.view(), t.view(), c.view(), Trans::kNoTrans);
-  unmqr<double>(a.view(), t.view(), c.view(), Trans::kTrans);
+  unmqr<double>(a.view(), t.view(), c.view(), Trans::kNoTrans, 0);
+  unmqr<double>(a.view(), t.view(), c.view(), Trans::kTrans, 0);
   for (index_t j = 0; j < b; ++j)
     for (index_t i = 0; i < b; ++i) EXPECT_NEAR(c(i, j), c0(i, j), 1e-10);
 }
@@ -80,7 +80,7 @@ TEST(Geqrt, RectangularTallTile) {
   Matrix<double> t(n, n);
   geqrt<double>(a.view(), t.view());
   Matrix<double> qta = a0;
-  unmqr<double>(a.view(), t.view(), qta.view(), Trans::kTrans);
+  unmqr<double>(a.view(), t.view(), qta.view(), Trans::kTrans, 0);
   for (index_t j = 0; j < n; ++j)
     for (index_t i = j + 1; i < m; ++i)
       EXPECT_NEAR(qta(i, j), 0.0, 1e-10);
@@ -102,7 +102,7 @@ TEST(Geqrt, ZeroColumnYieldsTauZeroAndSurvives) {
   Matrix<double> t(b, b);
   geqrt<double>(a.view(), t.view());
   Matrix<double> q = Matrix<double>::identity(b);
-  unmqr<double>(a.view(), t.view(), q.view(), Trans::kNoTrans);
+  unmqr<double>(a.view(), t.view(), q.view(), Trans::kNoTrans, 0);
   EXPECT_LT(orthogonality_residual<double>(q.view()), 1e-10);
 }
 
@@ -148,7 +148,7 @@ TEST_P(TsSizes, StackedFactorizationReconstructs) {
   copy<double>(r1.view(), stacked.block(0, 0, b, b));
   copy<double>(a2_0.view(), stacked.block(b, 0, b, b));
   tsmqr<double>(a2.view(), t.view(), stacked.block(0, 0, b, b),
-                stacked.block(b, 0, b, b), Trans::kTrans);
+                stacked.block(b, 0, b, b), Trans::kTrans, 0);
   for (index_t j = 0; j < b; ++j) {
     for (index_t i = 0; i <= j; ++i)
       EXPECT_NEAR(stacked(i, j), r1w(i, j), 1e-9);
@@ -169,7 +169,7 @@ TEST_P(TsSizes, QIsOrthogonal) {
 
   Matrix<double> q = Matrix<double>::identity(2 * b);
   tsmqr<double>(a2.view(), t.view(), q.block(0, 0, b, 2 * b),
-                q.block(b, 0, b, 2 * b), Trans::kNoTrans);
+                q.block(b, 0, b, 2 * b), Trans::kNoTrans, 0);
   EXPECT_LT(orthogonality_residual<double>(q.view()),
             residual_tolerance<double>(2 * b));
 }
@@ -186,8 +186,8 @@ TEST_P(TsSizes, TsmqrQThenQtRoundTrips) {
   auto c1_0 = Matrix<double>::random(b, b, 503 + b);
   auto c2_0 = Matrix<double>::random(b, b, 504 + b);
   Matrix<double> c1 = c1_0, c2 = c2_0;
-  tsmqr<double>(a2.view(), t.view(), c1.view(), c2.view(), Trans::kTrans);
-  tsmqr<double>(a2.view(), t.view(), c1.view(), c2.view(), Trans::kNoTrans);
+  tsmqr<double>(a2.view(), t.view(), c1.view(), c2.view(), Trans::kTrans, 0);
+  tsmqr<double>(a2.view(), t.view(), c1.view(), c2.view(), Trans::kNoTrans, 0);
   for (index_t j = 0; j < b; ++j)
     for (index_t i = 0; i < b; ++i) {
       EXPECT_NEAR(c1(i, j), c1_0(i, j), 1e-9);
@@ -289,7 +289,7 @@ TEST(KernelsFloat, GeqrtReconstructsInSingle) {
   Matrix<float> t(b, b);
   geqrt<float>(a.view(), t.view());
   Matrix<float> q = Matrix<float>::identity(b);
-  unmqr<float>(a.view(), t.view(), q.view(), Trans::kNoTrans);
+  unmqr<float>(a.view(), t.view(), q.view(), Trans::kNoTrans, 0);
   EXPECT_LT(orthogonality_residual<float>(q.view()),
             residual_tolerance<float>(b));
 }
@@ -306,7 +306,7 @@ TEST(KernelsFloat, TsqrtReconstructsInSingle) {
   Matrix<float> t(b, b);
   tsqrt<float>(r1.view(), a2.view(), t.view());
   Matrix<float> c1 = r1_0, c2 = a2_0;
-  tsmqr<float>(a2.view(), t.view(), c1.view(), c2.view(), Trans::kTrans);
+  tsmqr<float>(a2.view(), t.view(), c1.view(), c2.view(), Trans::kTrans, 0);
   for (index_t j = 0; j < b; ++j)
     for (index_t i = 0; i < b; ++i)
       EXPECT_NEAR(c2(i, j), 0.0f, 5e-5f);

@@ -166,7 +166,7 @@ int cmd_factor(int argc, char** argv) {
   Cli cli;
   cli.flag("in", "input matrix (required)");
   cli.flag("tile", "tile size", "16");
-  cli.flag("ib", "inner blocking (0 = off)", "0");
+  cli.flag("ib", "kernel inner block width (0 = library default)", "0");
   cli.flag("elim", "elimination: ts|tt|ttflat|hier", "ts");
   cli.flag("q", "write explicit Q here");
   cli.flag("r", "write R here");
@@ -267,7 +267,7 @@ int cmd_solve(int argc, char** argv) {
   cli.flag("rhs", "right-hand side b (required unless --batch)");
   cli.flag("out", "solution output path");
   cli.flag("tile", "tile size", "16");
-  cli.flag("ib", "factor-kernel inner blocking (0 = off)", "0");
+  cli.flag("ib", "kernel inner block width (0 = library default)", "0");
   cli.flag("refine", "iterative refinement steps", "0");
   cli.flag("method", "qr (least squares) or chol (SPD systems)", "qr");
   cli.flag("precision",
@@ -485,7 +485,7 @@ int cmd_serve(int argc, char** argv) {
   cli.flag("jobs", "trace: ROWSxCOLS:COUNT[,...]", "256x256:16,512x256:4");
   cli.flag("lanes", "concurrent execution lanes", "2");
   cli.flag("tile", "tile size", "16");
-  cli.flag("ib", "factor-kernel inner blocking (0 = library default)", "0");
+  cli.flag("ib", "kernel inner block width (0 = library default)", "0");
   cli.flag("precision", "kernel precision for every job: fp64|fp32", "fp64");
   cli.flag("elim", "elimination: ts|tt|ttflat|hier", "ts");
   cli.flag("queue", "job queue capacity", "64");
