@@ -44,14 +44,14 @@ double measured_host_us(dag::Op op, int b, la::index_t ib) {
         unmqr<double>(vfac.view(), tfac.view(), c1.view(), Trans::kTrans, ib);
         break;
       case dag::Op::kTsqrt:
-        tsqrt<double>(tri.view(), a2.view(), t.view(), ib);
+        tpqrt<double>(tri.view(), a2.view(), t.view(), 0, ib);
         break;
       case dag::Op::kTsmqr: {
         Matrix<double> r1 = tri, v2 = a2, tf(b, b);
-        tsqrt<double>(r1.view(), v2.view(), tf.view(), ib);
+        tpqrt<double>(r1.view(), v2.view(), tf.view(), 0, ib);
         timer.reset();
-        tsmqr<double>(v2.view(), tf.view(), c1.view(), c2.view(),
-                      Trans::kTrans, ib);
+        tpmqrt<double>(v2.view(), tf.view(), c1.view(), c2.view(), 0,
+                       Trans::kTrans, ib);
         break;
       }
       default:

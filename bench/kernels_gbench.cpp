@@ -60,7 +60,7 @@ void BM_Tsqrt(benchmark::State& state) {
   Matrix<double> t(b, b);
   for (auto _ : state) {
     Matrix<double> r = r1, a2 = a2_src;
-    la::tsqrt<double>(r.view(), a2.view(), t.view());
+    la::tpqrt<double>(r.view(), a2.view(), t.view(), 0, 0);
     benchmark::DoNotOptimize(a2.data());
   }
   state.counters["flops"] = benchmark::Counter(
@@ -75,13 +75,13 @@ void BM_Tsmqr(benchmark::State& state) {
     for (la::index_t i = 0; i <= j; ++i) r1(i, j) = 1.0 + i + j;
   Matrix<double> v2 = Matrix<double>::random(b, b, 4);
   Matrix<double> t(b, b);
-  la::tsqrt<double>(r1.view(), v2.view(), t.view());
+  la::tpqrt<double>(r1.view(), v2.view(), t.view(), 0, 0);
   const auto c1_src = Matrix<double>::random(b, b, 5);
   const auto c2_src = Matrix<double>::random(b, b, 6);
   for (auto _ : state) {
     Matrix<double> c1 = c1_src, c2 = c2_src;
-    la::tsmqr<double>(v2.view(), t.view(), c1.view(), c2.view(),
-                      la::Trans::kTrans, 0);
+    la::tpmqrt<double>(v2.view(), t.view(), c1.view(), c2.view(), 0,
+                       la::Trans::kTrans, 0);
     benchmark::DoNotOptimize(c2.data());
   }
   state.counters["flops"] = benchmark::Counter(
@@ -100,7 +100,7 @@ void BM_Ttqrt(benchmark::State& state) {
   Matrix<double> t(b, b);
   for (auto _ : state) {
     Matrix<double> x1 = r1, x2 = r2;
-    la::ttqrt<double>(x1.view(), x2.view(), t.view());
+    la::tpqrt<double>(x1.view(), x2.view(), t.view(), b, 0);
     benchmark::DoNotOptimize(x2.data());
   }
   state.counters["flops"] = benchmark::Counter(
@@ -301,7 +301,7 @@ void bench_tile_kernels(int b, double min_s, int ib,
         min_s);
     out.push_back({"unmqr", b, la::flops_unmqr(b) / s * 1e-9, s});
   }
-  // tsqrt / tsmqr.
+  // tsqrt / tsmqr: the pentagonal pair with l = 0 (dense bottom tile).
   {
     Matrix<double> r1(b, b);
     const auto rnd = Matrix<double>::random(b, b, 4);
@@ -314,14 +314,14 @@ void bench_tile_kernels(int b, double min_s, int ib,
         [&] {
           reset(r, r1);
           reset(a2, a2_src);
-          la::tsqrt<double>(r.view(), a2.view(), t.view(), ib);
+          la::tpqrt<double>(r.view(), a2.view(), t.view(), 0, ib);
         },
         min_s);
     out.push_back({"tsqrt", b, la::flops_tsqrt(b) / s * 1e-9, s});
 
     Matrix<double> v2 = a2_src;
     reset(r, r1);
-    la::tsqrt<double>(r.view(), v2.view(), t.view(), ib);
+    la::tpqrt<double>(r.view(), v2.view(), t.view(), 0, ib);
     const auto c1_src = Matrix<double>::random(b, b, 6);
     const auto c2_src = Matrix<double>::random(b, b, 7);
     Matrix<double> c1(b, b), c2(b, b);
@@ -329,13 +329,13 @@ void bench_tile_kernels(int b, double min_s, int ib,
         [&] {
           reset(c1, c1_src);
           reset(c2, c2_src);
-          la::tsmqr<double>(v2.view(), t.view(), c1.view(), c2.view(),
-                            la::Trans::kTrans, ib);
+          la::tpmqrt<double>(v2.view(), t.view(), c1.view(), c2.view(), 0,
+                             la::Trans::kTrans, ib);
         },
         min_s);
     out.push_back({"tsmqr", b, la::flops_tsmqr(b) / s2 * 1e-9, s2});
   }
-  // ttqrt / ttmqr.
+  // ttqrt / ttmqr: the pentagonal pair with l = b (triangular bottom tile).
   {
     Matrix<double> r1(b, b), r2(b, b);
     for (la::index_t j = 0; j < b; ++j)
@@ -348,14 +348,14 @@ void bench_tile_kernels(int b, double min_s, int ib,
         [&] {
           reset(x1, r1);
           reset(x2, r2);
-          la::ttqrt<double>(x1.view(), x2.view(), t.view(), ib);
+          la::tpqrt<double>(x1.view(), x2.view(), t.view(), b, ib);
         },
         min_s);
     out.push_back({"ttqrt", b, la::flops_ttqrt(b) / s * 1e-9, s});
 
     Matrix<double> v2 = r2;
     reset(x1, r1);
-    la::ttqrt<double>(x1.view(), v2.view(), t.view(), ib);
+    la::tpqrt<double>(x1.view(), v2.view(), t.view(), b, ib);
     const auto c1_src = Matrix<double>::random(b, b, 8);
     const auto c2_src = Matrix<double>::random(b, b, 9);
     Matrix<double> c1(b, b), c2(b, b);
@@ -363,31 +363,28 @@ void bench_tile_kernels(int b, double min_s, int ib,
         [&] {
           reset(c1, c1_src);
           reset(c2, c2_src);
-          la::ttmqr<double>(v2.view(), t.view(), c1.view(), c2.view(),
-                            la::Trans::kTrans);
+          la::tpmqrt<double>(v2.view(), t.view(), c1.view(), c2.view(), b,
+                             la::Trans::kTrans, ib);
         },
         min_s);
     out.push_back({"ttmqr", b, la::flops_ttmqr(b) / s2 * 1e-9, s2});
   }
-  // trmm: the triangular multiplies inside the applies, named by side and
-  // (uplo, trans, diag). utn is tsmqr's op(Tf) W, lnu unmqr's V1 W, and
-  // trmm_right.unn the T merge of ttqrt. m^2 n flops; the b x b copy
-  // of the multiplied operand is included, as for the apply kernels.
+  // trmm_left: the triangular multiplies inside the applies, named by
+  // (uplo, trans, diag). utn is tpmqrt's op(Tf) W, lnu unmqr's V1 W. m^2 n
+  // flops; the b x b copy of the multiplied operand is included, as for the
+  // apply kernels.
   {
     struct Case {
       const char* kernel;
-      la::Side side;
       la::UpLo uplo;
       la::Trans trans;
       la::Diag diag;
     };
     const Case cases[] = {
-        {"trmm_left.utn", la::Side::kLeft, la::UpLo::kUpper, la::Trans::kTrans,
+        {"trmm_left.utn", la::UpLo::kUpper, la::Trans::kTrans,
          la::Diag::kNonUnit},
-        {"trmm_left.lnu", la::Side::kLeft, la::UpLo::kLower,
-         la::Trans::kNoTrans, la::Diag::kUnit},
-        {"trmm_right.unn", la::Side::kRight, la::UpLo::kUpper,
-         la::Trans::kNoTrans, la::Diag::kNonUnit},
+        {"trmm_left.lnu", la::UpLo::kLower, la::Trans::kNoTrans,
+         la::Diag::kUnit},
     };
     const auto a = Matrix<double>::random(b, b, 10);
     const auto x_src = Matrix<double>::random(b, b, 11);
@@ -396,12 +393,8 @@ void bench_tile_kernels(int b, double min_s, int ib,
       const double s = seconds_per_call(
           [&] {
             reset(x, x_src);
-            if (k.side == la::Side::kLeft)
-              la::trmm_left<double>(k.uplo, k.trans, k.diag, a.view(),
-                                    x.view());
-            else
-              la::trmm_right<double>(k.uplo, k.trans, k.diag, a.view(),
-                                     x.view());
+            la::trmm_left<double>(k.uplo, k.trans, k.diag, a.view(),
+                                  x.view());
           },
           min_s);
       out.push_back({k.kernel, b, double(b) * b * b / s * 1e-9, s});

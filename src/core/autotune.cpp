@@ -62,6 +62,7 @@ DeviceProfile measure_host_profile(int device_id,
   }
 
   const bool tt = dag::uses_tt_kernels(options.elim);
+  const la::index_t l = tt ? b : 0;  // tpqrt's triangular bottom rows
   struct ElimState {
     Matrix<double> r1, a2, t;
   };
@@ -77,10 +78,7 @@ DeviceProfile measure_host_profile(int device_id,
         return ElimState{r1, std::move(a2), Matrix<double>(b, b)};
       },
       [&](ElimState& s) {
-        if (tt)
-          la::ttqrt<double>(s.r1.view(), s.a2.view(), s.t.view(), ib);
-        else
-          la::tsqrt<double>(s.r1.view(), s.a2.view(), s.t.view(), ib);
+        la::tpqrt<double>(s.r1.view(), s.a2.view(), s.t.view(), l, ib);
       });
 
   // Factored operands for the update kernels.
@@ -93,10 +91,7 @@ DeviceProfile measure_host_profile(int device_id,
     for (la::index_t j = 0; j < b; ++j)
       for (la::index_t i = j + 1; i < b; ++i) ve(i, j) = 0.0;
   Matrix<double> te(b, b);
-  if (tt)
-    la::ttqrt<double>(re.view(), ve.view(), te.view(), ib);
-  else
-    la::tsqrt<double>(re.view(), ve.view(), te.view(), ib);
+  la::tpqrt<double>(re.view(), ve.view(), te.view(), l, ib);
 
   struct UpdateState {
     Matrix<double> c1, c2;
@@ -118,12 +113,8 @@ DeviceProfile measure_host_profile(int device_id,
                            Matrix<double>::random(b, b, seed + 7)};
       },
       [&](UpdateState& s) {
-        if (tt)
-          la::ttmqr<double>(ve.view(), te.view(), s.c1.view(), s.c2.view(),
-                            la::Trans::kTrans);
-        else
-          la::tsmqr<double>(ve.view(), te.view(), s.c1.view(), s.c2.view(),
-                            la::Trans::kTrans, ib);
+        la::tpmqrt<double>(ve.view(), te.view(), s.c1.view(), s.c2.view(), l,
+                           la::Trans::kTrans, ib);
       });
 
   p.inner_block = ib;

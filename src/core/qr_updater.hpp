@@ -47,12 +47,10 @@ class QrUpdater {
     }
     TQR_REQUIRE(rows_absorbed_ > 0 || a.rows >= n_,
                 "first block must have at least n rows");
-    // TSQRT absorbs the block into R; the same reflectors update Q^T b.
-    // Blocks taller than n fold in n-row slices (the kernels want the
-    // stacked tile no wider than its column count... any height works, so
-    // absorb the whole block at once).
-    la::tsqrt<T>(r_.view(), a, t_.view());
-    la::tsmqr<T>(a, t_.view(), qtb_.view(), b, la::Trans::kTrans, 0);
+    // TS elimination (tpqrt with l = 0: a dense bottom of any height)
+    // absorbs the whole block into R; the same reflectors update Q^T b.
+    la::tpqrt<T>(r_.view(), a, t_.view(), 0, 0);
+    la::tpmqrt<T>(a, t_.view(), qtb_.view(), b, 0, la::Trans::kTrans, 0);
     rows_absorbed_ += a.rows;
   }
 

@@ -4,6 +4,17 @@
 
 namespace tqr::core {
 
+namespace {
+
+/// tpqrt/tpmqrt's `l`: 0 for a TS op's dense bottom tile, the tile size for
+/// a TT op's triangular one.
+template <typename T>
+la::index_t tp_l(dag::Op op, const la::TiledMatrix<T>& a) {
+  return op == dag::Op::kTtqrt || op == dag::Op::kTtmqr ? a.tile_size() : 0;
+}
+
+}  // namespace
+
 template <typename T>
 void execute_task(const dag::Task& task, la::TiledMatrix<T>& a,
                   la::TiledMatrix<T>& tg, la::TiledMatrix<T>& te,
@@ -19,22 +30,15 @@ void execute_task(const dag::Task& task, la::TiledMatrix<T>& a,
                    a.tile(task.i, task.j), la::Trans::kTrans, inner_block);
       break;
     case Op::kTsqrt:
-      la::tsqrt<T>(a.tile(task.p, task.k), a.tile(task.i, task.k),
-                   te.tile(task.i, task.k), inner_block);
+    case Op::kTtqrt:
+      la::tpqrt<T>(a.tile(task.p, task.k), a.tile(task.i, task.k),
+                   te.tile(task.i, task.k), tp_l(task.op, a), inner_block);
       break;
     case Op::kTsmqr:
-      la::tsmqr<T>(a.tile(task.i, task.k), te.tile(task.i, task.k),
-                   a.tile(task.p, task.j), a.tile(task.i, task.j),
-                   la::Trans::kTrans, inner_block);
-      break;
-    case Op::kTtqrt:
-      la::ttqrt<T>(a.tile(task.p, task.k), a.tile(task.i, task.k),
-                   te.tile(task.i, task.k), inner_block);
-      break;
     case Op::kTtmqr:
-      la::ttmqr<T>(a.tile(task.i, task.k), te.tile(task.i, task.k),
-                   a.tile(task.p, task.j), a.tile(task.i, task.j),
-                   la::Trans::kTrans);
+      la::tpmqrt<T>(a.tile(task.i, task.k), te.tile(task.i, task.k),
+                    a.tile(task.p, task.j), a.tile(task.i, task.j),
+                    tp_l(task.op, a), la::Trans::kTrans, inner_block);
       break;
     default:
       TQR_ASSERT(false, "non-QR task routed to the QR driver");
@@ -118,13 +122,10 @@ void apply_q_tiles(const dag::TaskGraph& graph, const la::TiledMatrix<T>& a,
                      row_block(task.i), trans, inner_block);
         break;
       case dag::Op::kTsqrt:
-        la::tsmqr<T>(a.tile(task.i, task.k), te.tile(task.i, task.k),
-                     row_block(task.p), row_block(task.i), trans,
-                     inner_block);
-        break;
       case dag::Op::kTtqrt:
-        la::ttmqr<T>(a.tile(task.i, task.k), te.tile(task.i, task.k),
-                     row_block(task.p), row_block(task.i), trans);
+        la::tpmqrt<T>(a.tile(task.i, task.k), te.tile(task.i, task.k),
+                      row_block(task.p), row_block(task.i),
+                      tp_l(task.op, a), trans, inner_block);
         break;
       default:
         break;  // update tasks carry no reflectors

@@ -23,10 +23,9 @@ namespace tqr::core {
 
 /// Executes one task against tile storage. Exposed so executors, tests, and
 /// the examples can drive custom schedules. inner_block is the kernels' `ib`
-/// (<= 0 selects la::kPanelBase): the panel and T block width of
-/// la::geqrt/tsqrt, which their applies unmqr/tsmqr walk, and the recursion
-/// leaf width of la::ttqrt. Every task of one factorization must run with
-/// the same value.
+/// (<= 0 selects la::kPanelBase): the panel and T block width of la::geqrt
+/// and la::tpqrt, which their applies unmqr/tpmqrt walk. Every task of one
+/// factorization must run with the same value.
 template <typename T>
 void execute_task(const dag::Task& task, la::TiledMatrix<T>& a,
                   la::TiledMatrix<T>& tg, la::TiledMatrix<T>& te,
@@ -57,9 +56,10 @@ class TiledQrFactorization {
     /// Row groups for Elimination::kHier (0 = single group when no plan is
     /// given; with a plan the plan's resolved group count wins).
     std::int32_t hier_groups = 0;
-    /// Inner block width `ib` of the tile kernels (0 = la::kPanelBase, >= the
-    /// tile size = one full-T block). Kept with the factors, so apply_q and
-    /// solve replay them with the same value.
+    /// Inner block width `ib`: the panel and T block width of every factor
+    /// kernel (0 = la::kPanelBase, >= the tile size = one full-T block). Kept
+    /// with the factors, so apply_q and solve replay them with the same
+    /// value.
     la::index_t inner_block = 0;
     /// When set, run on the host pool with this many slave threads per
     /// participating device group, routed by `plan`; otherwise sequential.

@@ -5,8 +5,8 @@
 // register-tiled SIMD engine in la/microkernel.hpp. gemm dispatches between
 // them by problem size — the loops win below the packing-amortization
 // threshold, the engine runs near hardware FLOP rates above it. trmm_left
-// and trmm_right dispatch the same way, into the packed triangular multiply
-// mk::trmm_packed; in scalar builds and for tiny triangles they split
+// dispatches the same way, into the packed triangular multiply
+// mk::trmm_packed; in scalar builds and for tiny triangles it splits
 // recursively so the off-diagonal bulk still flows through gemm. Loop orders
 // are chosen for column-major locality (j-k-i for gemm).
 // All routines validate shapes with TQR_REQUIRE.
@@ -216,39 +216,6 @@ void trmm_left_small(UpLo uplo, Trans trans, Diag diag, ConstMatrixView<T> a,
   }
 }
 
-/// Base-case right-sided triangular multiply: B = B * op(A), in place.
-/// Only reads the stored triangle of `a` (plus the diagonal when non-unit).
-template <typename T>
-void trmm_right_small(UpLo uplo, Trans trans, Diag diag, ConstMatrixView<T> a,
-                      MatrixView<T> b) {
-  const index_t m = b.rows, n = b.cols;
-  const bool unit = (diag == Diag::kUnit);
-
-  // Column j of B*op(A) reads B columns p with op(A)(p, j) != 0. For an
-  // effective-upper op(A) that is p <= j, so sweeping j right-to-left keeps
-  // the in-place update correct; effective-lower mirrors it left-to-right.
-  const bool effective_upper =
-      (uplo == UpLo::kUpper) == (trans == Trans::kNoTrans);
-  auto op_a = [&](index_t i, index_t p) {
-    return (trans == Trans::kNoTrans) ? a(i, p) : a(p, i);
-  };
-
-  for (index_t jj = 0; jj < n; ++jj) {
-    const index_t j = effective_upper ? n - 1 - jj : jj;
-    if (!unit) {
-      const T ajj = op_a(j, j);
-      for (index_t i = 0; i < m; ++i) b(i, j) *= ajj;
-    }
-    const index_t lo = effective_upper ? 0 : j + 1;
-    const index_t hi = effective_upper ? j : n;
-    for (index_t p = lo; p < hi; ++p) {
-      const T apj = op_a(p, j);
-      if (apj == T(0)) continue;
-      for (index_t i = 0; i < m; ++i) b(i, j) += b(i, p) * apj;
-    }
-  }
-}
-
 }  // namespace detail
 
 /// B = op(A) * B with A triangular (left side). In-place. Only the stored
@@ -266,7 +233,7 @@ void trmm_left(UpLo uplo, Trans trans, Diag diag, ConstMatrixView<T> a,
   const index_t m = b.rows, n = b.cols;
   TQR_REQUIRE(a.rows == m && a.cols == m, "trmm_left: A must be m x m");
   if (detail::packs<T>(m, n, m)) {
-    mk::trmm_packed<T>(Side::kLeft, uplo, trans, diag, T(1), a, b, T(0), b);
+    mk::trmm_packed<T>(uplo, trans, diag, T(1), a, b, T(0), b);
     return;
   }
   if (m <= detail::kTrmmSmallMax || n == 0) {
@@ -313,7 +280,7 @@ void trmm_left(UpLo uplo, Trans trans, Diag diag, T alpha,
   TQR_REQUIRE(a.rows == m && a.cols == m, "trmm_left: A must be m x m");
   TQR_REQUIRE(b.rows == m && b.cols == n, "trmm_left: B/C shape mismatch");
   if (alpha != T(0) && detail::packs<T>(m, n, m)) {
-    mk::trmm_packed<T>(Side::kLeft, uplo, trans, diag, alpha, a, b, beta, c);
+    mk::trmm_packed<T>(uplo, trans, diag, alpha, a, b, beta, c);
     return;
   }
   const bool unit = (diag == Diag::kUnit);
@@ -334,54 +301,6 @@ void trmm_left(UpLo uplo, Trans trans, Diag diag, T alpha,
       const index_t lo = lower ? p + 1 : 0, hi = lower ? m : p;
       for (index_t i = lo; i < hi; ++i) c(i, j) += op_a(i, p) * bpj;
     }
-  }
-}
-
-/// B = B * op(A) with A triangular (right side). In-place.
-///
-/// Mirror of trmm_left: packed under gemm's dispatch rule, otherwise the
-/// triangle is split 2x2 above the base size and the off-diagonal
-/// rectangular half flows through gemm. For effective-upper op(A),
-/// B2 = B2 op(A)22 + B1 op(A)12 with B1 still unmodified, then
-/// B1 = B1 op(A)11; effective-lower mirrors it.
-template <typename T>
-void trmm_right(UpLo uplo, Trans trans, Diag diag, ConstMatrixView<T> a,
-                MatrixView<T> b) {
-  const index_t m = b.rows, n = b.cols;
-  TQR_REQUIRE(a.rows == n && a.cols == n, "trmm_right: A must be n x n");
-  if (detail::packs<T>(m, n, n)) {
-    mk::trmm_packed<T>(Side::kRight, uplo, trans, diag, T(1), a, b, T(0), b);
-    return;
-  }
-  if (n <= detail::kTrmmSmallMax || m == 0) {
-    detail::trmm_right_small<T>(uplo, trans, diag, a, b);
-    return;
-  }
-  const index_t n1 = n / 2, n2 = n - n1;
-  auto b1 = b.block(0, 0, m, n1);
-  auto b2 = b.block(0, n1, m, n2);
-  const bool effective_upper =
-      (uplo == UpLo::kUpper) == (trans == Trans::kNoTrans);
-  if (effective_upper) {
-    trmm_right<T>(uplo, trans, diag, a.block(n1, n1, n2, n2), b2);
-    // op(A)12 is A12 (no-trans, upper) or A21^T (trans, lower).
-    if (trans == Trans::kNoTrans)
-      gemm<T>(Trans::kNoTrans, Trans::kNoTrans, T(1), b1,
-              a.block(0, n1, n1, n2), T(1), b2);
-    else
-      gemm<T>(Trans::kNoTrans, Trans::kTrans, T(1), b1,
-              a.block(n1, 0, n2, n1), T(1), b2);
-    trmm_right<T>(uplo, trans, diag, a.block(0, 0, n1, n1), b1);
-  } else {
-    trmm_right<T>(uplo, trans, diag, a.block(0, 0, n1, n1), b1);
-    // op(A)21 is A21 (no-trans, lower) or A12^T (trans, upper).
-    if (trans == Trans::kNoTrans)
-      gemm<T>(Trans::kNoTrans, Trans::kNoTrans, T(1), b2,
-              a.block(n1, 0, n2, n1), T(1), b1);
-    else
-      gemm<T>(Trans::kNoTrans, Trans::kTrans, T(1), b2,
-              a.block(0, n1, n1, n2), T(1), b1);
-    trmm_right<T>(uplo, trans, diag, a.block(n1, n1, n2, n2), b2);
   }
 }
 

@@ -11,6 +11,5 @@ namespace tqr::la {
 enum class Trans { kNoTrans, kTrans };
 enum class UpLo { kUpper, kLower };
 enum class Diag { kUnit, kNonUnit };
-enum class Side { kLeft, kRight };
 
 }  // namespace tqr::la

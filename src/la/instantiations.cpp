@@ -22,26 +22,19 @@ template class ReferenceQr<double>;
   template void geqrt_unblocked<T>(MatrixView<T>, MatrixView<T>);           \
   template void unmqr<T>(ConstMatrixView<T>, ConstMatrixView<T>,            \
                          MatrixView<T>, Trans, index_t);                    \
-  template void tsqrt<T>(MatrixView<T>, MatrixView<T>, MatrixView<T>,       \
-                         index_t);                                          \
-  template void tsqrt_unblocked<T>(MatrixView<T>, MatrixView<T>,            \
-                                   MatrixView<T>);                          \
-  template void tsmqr<T>(ConstMatrixView<T>, ConstMatrixView<T>,            \
-                         MatrixView<T>, MatrixView<T>, Trans, index_t);     \
-  template void ttqrt<T>(MatrixView<T>, MatrixView<T>, MatrixView<T>,       \
-                         index_t);                                          \
-  template void ttqrt_unblocked<T>(MatrixView<T>, MatrixView<T>,            \
-                                   MatrixView<T>);                          \
-  template void ttmqr<T>(ConstMatrixView<T>, ConstMatrixView<T>,            \
-                         MatrixView<T>, MatrixView<T>, Trans);              \
+  template void tpqrt<T>(MatrixView<T>, MatrixView<T>, MatrixView<T>,       \
+                         index_t, index_t);                                 \
+  template void tpqrt_unblocked<T>(MatrixView<T>, MatrixView<T>,            \
+                                   MatrixView<T>, index_t);                 \
+  template void tpmqrt<T>(ConstMatrixView<T>, ConstMatrixView<T>,           \
+                          MatrixView<T>, MatrixView<T>, index_t, Trans,     \
+                          index_t);                                         \
   template void gemm<T>(Trans, Trans, T, ConstMatrixView<T>,                \
                         ConstMatrixView<T>, T, MatrixView<T>);              \
   template void trmm_left<T>(UpLo, Trans, Diag, ConstMatrixView<T>,         \
                              MatrixView<T>);                                \
   template void trmm_left<T>(UpLo, Trans, Diag, T, ConstMatrixView<T>,      \
                              ConstMatrixView<T>, T, MatrixView<T>);         \
-  template void trmm_right<T>(UpLo, Trans, Diag, ConstMatrixView<T>,        \
-                              MatrixView<T>);                               \
   template void trsm_left<T>(UpLo, Trans, Diag, ConstMatrixView<T>,         \
                              MatrixView<T>);                                \
   template double norm_frobenius<T>(ConstMatrixView<T>);                    \

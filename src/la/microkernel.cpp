@@ -28,10 +28,10 @@ template void gemm_packed<double>(Trans, Trans, double,
                                   ConstMatrixView<double>,
                                   ConstMatrixView<double>, double,
                                   MatrixView<double>, const Blocking&);
-template void trmm_packed<float>(Side, UpLo, Trans, Diag, float,
+template void trmm_packed<float>(UpLo, Trans, Diag, float,
                                  ConstMatrixView<float>, ConstMatrixView<float>,
                                  float, MatrixView<float>, const Blocking&);
-template void trmm_packed<double>(Side, UpLo, Trans, Diag, double,
+template void trmm_packed<double>(UpLo, Trans, Diag, double,
                                   ConstMatrixView<double>,
                                   ConstMatrixView<double>, double,
                                   MatrixView<double>, const Blocking&);

@@ -22,7 +22,7 @@
 //      FLOP-bound.
 //
 // The same pipeline runs the triangular multiply (trmm_packed, behind
-// la::trmm_left/trmm_right): the triangle is packed once into the
+// la::trmm_left): the triangle is packed once into the
 // micro-kernel's panel format with explicit zeros, each panel runs only over
 // its nonzero k-span, and the multiplied operand is packed before its C block
 // is written, so in-place and accumulating products both work.
@@ -434,23 +434,20 @@ extern template void gemm_packed<double>(Trans, Trans, double,
                                          ConstMatrixView<double>, double,
                                          MatrixView<double>, const Blocking&);
 
-/// C = alpha * op(A) * B + beta * C (side kLeft, A m x m) or
-/// C = alpha * B * op(A) + beta * C (side kRight, A n x n), A triangular,
-/// through the packed register-tiled pipeline. op(A)'s stored triangle is
-/// packed once with explicit zeros (pack_tri), and each row panel of op(A)
-/// (or column panel, on the right) runs only over its nonzero k-span, so
-/// all-zero micro-panels are skipped. The other operand is packed before
-/// the C block it feeds is written: on the left one column chunk of B at a
-/// time, on the right one full MR-row panel of B. That makes b == c (the
-/// in-place trmm, beta == 0) safe; any other overlap of b and c is not.
-/// beta == 0 never reads C, and beta == 1 accumulates.
+/// C = alpha * op(A) * B + beta * C with A (m x m) triangular, through the
+/// packed register-tiled pipeline. op(A)'s stored triangle is packed once
+/// with explicit zeros (pack_tri), and each row panel of op(A) runs only over
+/// its nonzero k-span, so all-zero micro-panels are skipped. B is packed one
+/// column chunk at a time, before the C block it feeds is written. That
+/// makes b == c (the in-place trmm, beta == 0) safe; any other overlap of b
+/// and c is not. beta == 0 never reads C, and beta == 1 accumulates.
 ///
 /// The explicit zeros differ from the loop version in one way: inside a
 /// diagonal micro-block, an Inf or NaN in B reaches rows whose op(A) entry
 /// is a structural zero (0 * Inf = NaN), which the loops never touch. Finite
 /// inputs are unaffected. Only the packing buffers of gemm_packed are used.
 template <typename T>
-void trmm_packed(Side side, UpLo uplo, Trans trans, Diag diag, T alpha,
+void trmm_packed(UpLo uplo, Trans trans, Diag diag, T alpha,
                  ConstMatrixView<T> a, ConstMatrixView<T> b, T beta,
                  MatrixView<T> c, const Blocking& bs = default_blocking<T>()) {
   static_assert(std::is_floating_point_v<T>,
@@ -458,73 +455,44 @@ void trmm_packed(Side side, UpLo uplo, Trans trans, Diag diag, T alpha,
   constexpr int MR = RegisterBlocking<T>::mr;
   constexpr int NR = RegisterBlocking<T>::nr;
   const index_t m = c.rows, n = c.cols;
-  const index_t k = (side == Side::kLeft) ? m : n;
-  TQR_REQUIRE(a.rows == k && a.cols == k, "trmm_packed: A must be square");
+  TQR_REQUIRE(a.rows == m && a.cols == m, "trmm_packed: A must be m x m");
   TQR_REQUIRE(b.rows == m && b.cols == n, "trmm_packed: B/C shape mismatch");
   if (m == 0 || n == 0) return;
   const bool unit = (diag == Diag::kUnit);
   const bool op_lower = (uplo == UpLo::kLower) == (trans == Trans::kNoTrans);
   alignas(kMatrixAlignment) T acc[MR * NR];
 
-  if (side == Side::kLeft) {
-    T* const ap = detail::pack_storage<T>(
-        0, detail::tri_packed_size(op_lower, MR, m));
-    detail::pack_tri<T, MR>(ap, a, op_lower, trans, unit, alpha);
-    // Column chunks of B no larger than gemm_packed's kc x nc B panel.
-    const index_t chunk =
-        std::max<index_t>(NR, bs.kc * bs.nc / m / NR * NR);
-    T* const bp = detail::pack_storage<T>(
-        1, static_cast<std::size_t>((std::min(chunk, n) + NR - 1) / NR * NR) *
-               m);
-    for (index_t jc = 0; jc < n; jc += chunk) {
-      const index_t nc_eff = std::min(chunk, n - jc);
-      detail::pack_b<T>(bp, b, Trans::kNoTrans, 0, jc, m, nc_eff);
-      for (index_t jr = 0; jr < nc_eff; jr += NR) {
-        const index_t nr_eff = std::min<index_t>(NR, nc_eff - jr);
-        const T* const bj = bp + static_cast<std::size_t>(jr) * m;
-        const T* ai = ap;
-        for (index_t ir = 0; ir < m; ir += MR) {
-          const auto [lo, hi] = detail::tri_span(op_lower, ir, MR, m);
-          detail::micro_kernel<T>(hi - lo, ai, bj + lo * NR, acc);
-          detail::write_back<T>(
-              acc, c.data + static_cast<std::size_t>(jc + jr) * c.ld + ir,
-              c.ld, std::min<index_t>(MR, m - ir), nr_eff, beta);
-          ai += (hi - lo) * MR;
-        }
+  T* const ap =
+      detail::pack_storage<T>(0, detail::tri_packed_size(op_lower, MR, m));
+  detail::pack_tri<T, MR>(ap, a, op_lower, trans, unit, alpha);
+  // Column chunks of B no larger than gemm_packed's kc x nc B panel.
+  const index_t chunk = std::max<index_t>(NR, bs.kc * bs.nc / m / NR * NR);
+  T* const bp = detail::pack_storage<T>(
+      1, static_cast<std::size_t>((std::min(chunk, n) + NR - 1) / NR * NR) * m);
+  for (index_t jc = 0; jc < n; jc += chunk) {
+    const index_t nc_eff = std::min(chunk, n - jc);
+    detail::pack_b<T>(bp, b, Trans::kNoTrans, 0, jc, m, nc_eff);
+    for (index_t jr = 0; jr < nc_eff; jr += NR) {
+      const index_t nr_eff = std::min<index_t>(NR, nc_eff - jr);
+      const T* const bj = bp + static_cast<std::size_t>(jr) * m;
+      const T* ai = ap;
+      for (index_t ir = 0; ir < m; ir += MR) {
+        const auto [lo, hi] = detail::tri_span(op_lower, ir, MR, m);
+        detail::micro_kernel<T>(hi - lo, ai, bj + lo * NR, acc);
+        detail::write_back<T>(
+            acc, c.data + static_cast<std::size_t>(jc + jr) * c.ld + ir, c.ld,
+            std::min<index_t>(MR, m - ir), nr_eff, beta);
+        ai += (hi - lo) * MR;
       }
-    }
-    return;
-  }
-
-  // Right side: the columns of op(A) are the rows of op(A)^T, packed as the
-  // micro-kernel's NR panels with the opposite transpose and triangle.
-  const bool opt_lower = !op_lower;
-  T* const ap = detail::pack_storage<T>(
-      1, detail::tri_packed_size(opt_lower, NR, n));
-  detail::pack_tri<T, NR>(
-      ap, a, opt_lower,
-      trans == Trans::kNoTrans ? Trans::kTrans : Trans::kNoTrans, unit, alpha);
-  T* const bp = detail::pack_storage<T>(0, static_cast<std::size_t>(MR) * n);
-  for (index_t ir = 0; ir < m; ir += MR) {
-    const index_t mr_eff = std::min<index_t>(MR, m - ir);
-    detail::pack_a<T>(bp, b, Trans::kNoTrans, T(1), ir, 0, mr_eff, n);
-    const T* aj = ap;
-    for (index_t jr = 0; jr < n; jr += NR) {
-      const auto [lo, hi] = detail::tri_span(opt_lower, jr, NR, n);
-      detail::micro_kernel<T>(hi - lo, bp + lo * MR, aj, acc);
-      detail::write_back<T>(
-          acc, c.data + static_cast<std::size_t>(jr) * c.ld + ir, c.ld,
-          mr_eff, std::min<index_t>(NR, n - jr), beta);
-      aj += (hi - lo) * NR;
     }
   }
 }
 
-extern template void trmm_packed<float>(Side, UpLo, Trans, Diag, float,
+extern template void trmm_packed<float>(UpLo, Trans, Diag, float,
                                         ConstMatrixView<float>,
                                         ConstMatrixView<float>, float,
                                         MatrixView<float>, const Blocking&);
-extern template void trmm_packed<double>(Side, UpLo, Trans, Diag, double,
+extern template void trmm_packed<double>(UpLo, Trans, Diag, double,
                                          ConstMatrixView<double>,
                                          ConstMatrixView<double>, double,
                                          MatrixView<double>, const Blocking&);

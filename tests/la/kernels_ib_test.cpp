@@ -64,11 +64,12 @@ TEST_P(IbWidths, TsqrtIbEliminatesStackedTile) {
   auto a2_0 = Matrix<double>::random(b, b, 1001 + ib);
   Matrix<double> r1w = r1, a2 = a2_0;
   Matrix<double> t(b, b);
-  tsqrt<double>(r1w.view(), a2.view(), t.view(), ib);
+  tpqrt<double>(r1w.view(), a2.view(), t.view(), 0, ib);
 
   // Applying Q^T to the original stack must reproduce [R_new; 0].
   Matrix<double> c1 = r1, c2 = a2_0;
-  tsmqr<double>(a2.view(), t.view(), c1.view(), c2.view(), Trans::kTrans, ib);
+  tpmqrt<double>(a2.view(), t.view(), c1.view(), c2.view(), 0, Trans::kTrans,
+                 ib);
   for (index_t j = 0; j < b; ++j) {
     for (index_t i = 0; i <= j; ++i) EXPECT_NEAR(c1(i, j), r1w(i, j), 1e-9);
     for (index_t i = 0; i < b; ++i) EXPECT_NEAR(c2(i, j), 0.0, 1e-9);
@@ -83,13 +84,14 @@ TEST_P(IbWidths, TsmqrIbRoundTrips) {
     for (index_t i = 0; i <= j; ++i) r1(i, j) = 1.0 + i + 2 * j;
   auto v2 = Matrix<double>::random(b, b, 1100 + ib);
   Matrix<double> t(b, b);
-  tsqrt<double>(r1.view(), v2.view(), t.view(), ib);
+  tpqrt<double>(r1.view(), v2.view(), t.view(), 0, ib);
   auto c1_0 = Matrix<double>::random(b, b, 1101 + ib);
   auto c2_0 = Matrix<double>::random(b, b, 1102 + ib);
   Matrix<double> c1 = c1_0, c2 = c2_0;
-  tsmqr<double>(v2.view(), t.view(), c1.view(), c2.view(), Trans::kTrans, ib);
-  tsmqr<double>(v2.view(), t.view(), c1.view(), c2.view(), Trans::kNoTrans,
-                ib);
+  tpmqrt<double>(v2.view(), t.view(), c1.view(), c2.view(), 0, Trans::kTrans,
+                 ib);
+  tpmqrt<double>(v2.view(), t.view(), c1.view(), c2.view(), 0, Trans::kNoTrans,
+                 ib);
   for (index_t j = 0; j < b; ++j)
     for (index_t i = 0; i < b; ++i) {
       EXPECT_NEAR(c1(i, j), c1_0(i, j), 1e-9);
@@ -111,7 +113,7 @@ TEST(KernelsIb, PreservesDiagonalTileVStorage) {
     for (index_t i = j + 1; i < b; ++i) below(i, j) = top(i, j);
   auto a2 = Matrix<double>::random(b, b, 43);
   Matrix<double> t(b, b);
-  tsqrt<double>(top.view(), a2.view(), t.view(), ib);
+  tpqrt<double>(top.view(), a2.view(), t.view(), 0, ib);
   for (index_t j = 0; j < b; ++j)
     for (index_t i = j + 1; i < b; ++i) EXPECT_EQ(top(i, j), below(i, j));
 }

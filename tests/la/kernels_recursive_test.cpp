@@ -1,5 +1,5 @@
-// Parity of the inner-blocked factor kernels (geqrt/tsqrt panels, ttqrt
-// recursion) against the unblocked reference kernels. Both compute the same
+// Parity of the inner-blocked factor kernels (geqrt and tpqrt panels, TS and
+// TT shapes) against the unblocked reference kernels. Both compute the same
 // Householder reflectors in the same order, so V, R, and the action of Q
 // (T applied with the factor's ib) must agree to machine precision — not
 // just produce *a* valid QR. Swept over widths that hit every blocking shape
@@ -108,8 +108,8 @@ TEST_P(RecursiveWidths, TsqrtMatchesUnblocked) {
     Matrix<double> a2_rec = a2_0, a2_ref = a2_0;
     Matrix<double> t_rec(b, b), t_ref(b, b);
 
-    tsqrt<double>(r1_rec.view(), a2_rec.view(), t_rec.view(), ib);
-    tsqrt_unblocked<double>(r1_ref.view(), a2_ref.view(), t_ref.view());
+    tpqrt<double>(r1_rec.view(), a2_rec.view(), t_rec.view(), 0, ib);
+    tpqrt_unblocked<double>(r1_ref.view(), a2_ref.view(), t_ref.view(), 0);
 
     EXPECT_LT(max_row_sign_diff(r1_rec, r1_ref), tolerance<double>(m2 + b));
 
@@ -118,10 +118,10 @@ TEST_P(RecursiveWidths, TsqrtMatchesUnblocked) {
     auto c2_0 = Matrix<double>::random(m2, b, 8300 + m2);
     Matrix<double> c1_rec = c1_0, c2_rec = c2_0;
     Matrix<double> c1_ref = c1_0, c2_ref = c2_0;
-    tsmqr<double>(a2_rec.view(), t_rec.view(), c1_rec.view(), c2_rec.view(),
-                  Trans::kTrans, ib);
-    tsmqr<double>(a2_ref.view(), t_ref.view(), c1_ref.view(), c2_ref.view(),
-                  Trans::kTrans, 0);
+    tpmqrt<double>(a2_rec.view(), t_rec.view(), c1_rec.view(), c2_rec.view(), 0,
+                   Trans::kTrans, ib);
+    tpmqrt<double>(a2_ref.view(), t_ref.view(), c1_ref.view(), c2_ref.view(), 0,
+                   Trans::kTrans, 0);
     EXPECT_LT(relative_error<double>(c1_rec.view(), c1_ref.view()),
               tolerance<double>(m2 + b));
     EXPECT_LT(relative_error<double>(c2_rec.view(), c2_ref.view()),
@@ -148,8 +148,8 @@ TEST_P(RecursiveWidths, TtqrtMatchesUnblockedAndKeepsVTriangular) {
       }
     }
   Matrix<double> t_rec(b, b), t_ref(b, b);
-  ttqrt<double>(r1_rec.view(), r2_rec.view(), t_rec.view(), ib);
-  ttqrt_unblocked<double>(r1_ref.view(), r2_ref.view(), t_ref.view());
+  tpqrt<double>(r1_rec.view(), r2_rec.view(), t_rec.view(), b, ib);
+  tpqrt_unblocked<double>(r1_ref.view(), r2_ref.view(), t_ref.view(), b);
 
   for (index_t j = 0; j < b; ++j)
     for (index_t i = j + 1; i < b; ++i) {
@@ -161,12 +161,12 @@ TEST_P(RecursiveWidths, TtqrtMatchesUnblockedAndKeepsVTriangular) {
   auto c2_0 = Matrix<double>::random(b, b, 9101);
   Matrix<double> c1_rec = c1_0, c2_rec = c2_0;
   Matrix<double> c1_ref = c1_0, c2_ref = c2_0;
-  // Sentinels must not poison the apply either: ttmqr reads only the upper
+  // Sentinels must not poison the apply either: tpmqrt reads only the upper
   // triangle of V2.
-  ttmqr<double>(r2_rec.view(), t_rec.view(), c1_rec.view(), c2_rec.view(),
-                Trans::kTrans);
-  ttmqr<double>(r2_ref.view(), t_ref.view(), c1_ref.view(), c2_ref.view(),
-                Trans::kTrans);
+  tpmqrt<double>(r2_rec.view(), t_rec.view(), c1_rec.view(), c2_rec.view(), b,
+                 Trans::kTrans, ib);
+  tpmqrt<double>(r2_ref.view(), t_ref.view(), c1_ref.view(), c2_ref.view(), b,
+                 Trans::kTrans, b);
   EXPECT_LT(relative_error<double>(c1_rec.view(), c1_ref.view()),
             tolerance<double>(2 * b));
   EXPECT_LT(relative_error<double>(c2_rec.view(), c2_ref.view()),

@@ -1,10 +1,11 @@
-// The inner-blocked T contract of geqrt/tsqrt (la/kernels.hpp): T holds the
-// panels' ib x ib diagonal blocks, each matching the block the unblocked
-// kernel builds for the same reflectors, and exact zeros everywhere else;
-// unmqr/tsmqr given the same ib reproduce Q and Q^T. Swept over tile widths
-// around the default block width, square and taller tiles, four ib choices
-// and both precisions. Also: tiles scaled down into the subnormal range
-// factor to finite R and T (larfg's safe-minimum rescale).
+// The one T contract of the factor kernels (la/kernels.hpp): geqrt and both
+// tpqrt shapes (l = 0 for TS, l = b for TT) leave in T the panels' ib x ib
+// diagonal blocks, each matching the block the unblocked kernel builds for
+// the same reflectors, and exact zeros everywhere else; unmqr/tpmqrt given
+// the same ib reproduce Q and Q^T. Swept over tile widths around the default
+// block width, square and taller tiles, four ib choices and both
+// precisions. Also: tiles scaled down into the subnormal range factor to
+// finite R and T (larfg's safe-minimum rescale).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -121,15 +122,15 @@ class TBlockContract : public ::testing::TestWithParam<Case> {
     const auto a2_0 = Matrix<T>::random(m2, b, 400 + 7 * b + extra);
     Matrix<T> r1 = r1_0, a2 = a2_0, r1_ref = r1_0, a2_ref = a2_0;
     Matrix<T> t = nan_filled<T>(b, b), t_ref(b, b);
-    tsqrt<T>(r1.view(), a2.view(), t.view(), ib);
-    tsqrt_unblocked<T>(r1_ref.view(), a2_ref.view(), t_ref.view());
+    tpqrt<T>(r1.view(), a2.view(), t.view(), 0, ib);
+    tpqrt_unblocked<T>(r1_ref.view(), a2_ref.view(), t_ref.view(), 0);
     expect_block_diagonal(t, t_ref, nb, residual_tolerance<T>(m, 250.0));
 
     // Q of the stacked pair, formed by applying it to the identity.
     const double tol = residual_tolerance<T>(m);
     Matrix<T> q = Matrix<T>::identity(m);
-    tsmqr<T>(a2.view(), t.view(), q.block(0, 0, b, m), q.block(b, 0, m2, m),
-             Trans::kNoTrans, ib);
+    tpmqrt<T>(a2.view(), t.view(), q.block(0, 0, b, m), q.block(b, 0, m2, m), 0,
+              Trans::kNoTrans, ib);
     EXPECT_LT(orthogonality_residual<T>(q.view()), tol);
     const Matrix<T> stacked = stack(r1_0, a2_0);
     const Matrix<T> r = r_padded(r1, m);
@@ -137,16 +138,69 @@ class TBlockContract : public ::testing::TestWithParam<Case> {
               tol);
 
     Matrix<T> qta = stacked;
-    tsmqr<T>(a2.view(), t.view(), qta.block(0, 0, b, b),
-             qta.block(b, 0, m2, b), Trans::kTrans, ib);
+    tpmqrt<T>(a2.view(), t.view(), qta.block(0, 0, b, b),
+              qta.block(b, 0, m2, b), 0, Trans::kTrans, ib);
     EXPECT_LT(relative_error<T>(qta.view(), r.view()), tol);
 
     const auto c0 = Matrix<T>::random(m, 7, 500 + b);
     Matrix<T> c = c0;
-    tsmqr<T>(a2.view(), t.view(), c.block(0, 0, b, 7), c.block(b, 0, m2, 7),
-             Trans::kTrans, ib);
-    tsmqr<T>(a2.view(), t.view(), c.block(0, 0, b, 7), c.block(b, 0, m2, 7),
-             Trans::kNoTrans, ib);
+    tpmqrt<T>(a2.view(), t.view(), c.block(0, 0, b, 7), c.block(b, 0, m2, 7), 0,
+              Trans::kTrans, ib);
+    tpmqrt<T>(a2.view(), t.view(), c.block(0, 0, b, 7), c.block(b, 0, m2, 7), 0,
+              Trans::kNoTrans, ib);
+    EXPECT_LT(relative_error<T>(c.view(), c0.view()), tol);
+  }
+
+  /// TT shape, l = b: the bottom tile is `extra` dense rows over a b x b
+  /// upper triangle (the TT tile itself when extra == 0). Below the triangle
+  /// sits a sentinel that neither the factor nor the apply may read or
+  /// write.
+  template <typename T>
+  void check_ttqrt() {
+    const auto [b, extra, ib] = GetParam();
+    const index_t m2 = b + extra, m = b + m2;
+    const index_t nb = ib <= 0 ? std::min<index_t>(kPanelBase, b)
+                               : std::min<index_t>(ib, b);
+    const T kSentinel = T(-777.25);
+    const Matrix<T> r1_0 = random_triangle<T>(b, 800 + b);
+    Matrix<T> pent(m2, b), v2_0(m2, b);
+    const auto rnd = Matrix<T>::random(m2, b, 900 + 7 * b + extra);
+    for (index_t j = 0; j < b; ++j)
+      for (index_t i = 0; i < m2; ++i) {
+        const bool stored = i <= extra + j;
+        pent(i, j) = stored ? rnd(i, j) + (i == extra + j ? T(2) : T(0)) : T(0);
+        v2_0(i, j) = stored ? pent(i, j) : kSentinel;
+      }
+    Matrix<T> r1 = r1_0, v2 = v2_0, r1_ref = r1_0, v2_ref = v2_0;
+    Matrix<T> t = nan_filled<T>(b, b), t_ref(b, b);
+    tpqrt<T>(r1.view(), v2.view(), t.view(), b, ib);
+    tpqrt_unblocked<T>(r1_ref.view(), v2_ref.view(), t_ref.view(), b);
+    for (index_t j = 0; j < b; ++j)
+      for (index_t i = extra + j + 1; i < m2; ++i)
+        ASSERT_EQ(v2(i, j), kSentinel) << "V2(" << i << "," << j << ")";
+    expect_block_diagonal(t, t_ref, nb, residual_tolerance<T>(m, 250.0));
+
+    const double tol = residual_tolerance<T>(m);
+    Matrix<T> q = Matrix<T>::identity(m);
+    tpmqrt<T>(v2.view(), t.view(), q.block(0, 0, b, m), q.block(b, 0, m2, m),
+              b, Trans::kNoTrans, ib);
+    EXPECT_LT(orthogonality_residual<T>(q.view()), tol);
+    const Matrix<T> stacked = stack(r1_0, pent);
+    const Matrix<T> r = r_padded(r1, m);
+    EXPECT_LT(reconstruction_residual<T>(stacked.view(), q.view(), r.view()),
+              tol);
+
+    Matrix<T> qta = stacked;
+    tpmqrt<T>(v2.view(), t.view(), qta.block(0, 0, b, b),
+              qta.block(b, 0, m2, b), b, Trans::kTrans, ib);
+    EXPECT_LT(relative_error<T>(qta.view(), r.view()), tol);
+
+    const auto c0 = Matrix<T>::random(m, 7, 1000 + b);
+    Matrix<T> c = c0;
+    tpmqrt<T>(v2.view(), t.view(), c.block(0, 0, b, 7), c.block(b, 0, m2, 7),
+              b, Trans::kTrans, ib);
+    tpmqrt<T>(v2.view(), t.view(), c.block(0, 0, b, 7), c.block(b, 0, m2, 7),
+              b, Trans::kNoTrans, ib);
     EXPECT_LT(relative_error<T>(c.view(), c0.view()), tol);
   }
 };
@@ -155,6 +209,8 @@ TEST_P(TBlockContract, GeqrtFp32) { check_geqrt<float>(); }
 TEST_P(TBlockContract, GeqrtFp64) { check_geqrt<double>(); }
 TEST_P(TBlockContract, TsqrtFp32) { check_tsqrt<float>(); }
 TEST_P(TBlockContract, TsqrtFp64) { check_tsqrt<double>(); }
+TEST_P(TBlockContract, TtqrtFp32) { check_ttqrt<float>(); }
+TEST_P(TBlockContract, TtqrtFp64) { check_ttqrt<double>(); }
 
 INSTANTIATE_TEST_SUITE_P(
     Tiles, TBlockContract,
@@ -239,15 +295,37 @@ TYPED_TEST(SubnormalTiles, TsqrtStaysFiniteAndAccurate) {
     for (index_t j = 0; j < b; ++j)
       for (index_t i = 0; i < b; ++i) a2_0(i, j) *= scale;
     Matrix<T> r1 = r1_0, a2 = a2_0, t(b, b);
-    tsqrt<T>(r1.view(), a2.view(), t.view());
+    tpqrt<T>(r1.view(), a2.view(), t.view(), 0, 0);
     EXPECT_TRUE(all_finite<T>(r1.view())) << "scale " << scale;
     EXPECT_TRUE(all_finite<T>(a2.view())) << "scale " << scale;
     EXPECT_TRUE(all_finite<T>(t.view())) << "scale " << scale;
 
     Matrix<T> q = Matrix<T>::identity(m);
-    tsmqr<T>(a2.view(), t.view(), q.block(0, 0, b, m), q.block(b, 0, b, m),
-             Trans::kNoTrans, 0);
+    tpmqrt<T>(a2.view(), t.view(), q.block(0, 0, b, m), q.block(b, 0, b, m), 0,
+              Trans::kNoTrans, 0);
     EXPECT_LT(scaled_reconstruction(stack(r1_0, a2_0), q, r_padded(r1, m),
+                                    TinyScales<T>::kUp),
+              residual_tolerance<T>(m))
+        << "scale " << scale;
+  }
+}
+
+TYPED_TEST(SubnormalTiles, TtqrtStaysFiniteAndAccurate) {
+  using T = TypeParam;
+  const index_t b = 128, m = 2 * b;
+  for (const T scale : TinyScales<T>::kScales) {
+    const Matrix<T> r1_0 = random_triangle<T>(b, 710, scale);
+    const Matrix<T> r2_0 = random_triangle<T>(b, 711, scale);
+    Matrix<T> r1 = r1_0, r2 = r2_0, t(b, b);
+    tpqrt<T>(r1.view(), r2.view(), t.view(), b, 0);
+    EXPECT_TRUE(all_finite<T>(r1.view())) << "scale " << scale;
+    EXPECT_TRUE(all_finite<T>(r2.view())) << "scale " << scale;
+    EXPECT_TRUE(all_finite<T>(t.view())) << "scale " << scale;
+
+    Matrix<T> q = Matrix<T>::identity(m);
+    tpmqrt<T>(r2.view(), t.view(), q.block(0, 0, b, m), q.block(b, 0, b, m), b,
+              Trans::kNoTrans, 0);
+    EXPECT_LT(scaled_reconstruction(stack(r1_0, r2_0), q, r_padded(r1, m),
                                     TinyScales<T>::kUp),
               residual_tolerance<T>(m))
         << "scale " << scale;

@@ -122,7 +122,7 @@ TEST(Geqrt, AlreadyTriangularInputNearlyUnchanged) {
   }
 }
 
-// --- tsqrt / tsmqr ----------------------------------------------------------
+// --- TS: tpqrt / tpmqrt with l = 0 ----------------------------------------
 
 class TsSizes : public ::testing::TestWithParam<int> {};
 
@@ -141,14 +141,14 @@ TEST_P(TsSizes, StackedFactorizationReconstructs) {
   Matrix<double> r1w = r1;
   Matrix<double> a2 = a2_0;
   Matrix<double> t(b, b);
-  tsqrt<double>(r1w.view(), a2.view(), t.view());
+  tpqrt<double>(r1w.view(), a2.view(), t.view(), 0, 0);
 
   // Apply Q^T to the original stacked [R1; A2]: must give [R_new; 0].
   Matrix<double> stacked(2 * b, b);
   copy<double>(r1.view(), stacked.block(0, 0, b, b));
   copy<double>(a2_0.view(), stacked.block(b, 0, b, b));
-  tsmqr<double>(a2.view(), t.view(), stacked.block(0, 0, b, b),
-                stacked.block(b, 0, b, b), Trans::kTrans, 0);
+  tpmqrt<double>(a2.view(), t.view(), stacked.block(0, 0, b, b),
+                 stacked.block(b, 0, b, b), 0, Trans::kTrans, 0);
   for (index_t j = 0; j < b; ++j) {
     for (index_t i = 0; i <= j; ++i)
       EXPECT_NEAR(stacked(i, j), r1w(i, j), 1e-9);
@@ -165,11 +165,11 @@ TEST_P(TsSizes, QIsOrthogonal) {
     for (index_t i = 0; i <= j; ++i) r1(i, j) = rnd(i, j) + (i == j ? 2 : 0);
   auto a2 = Matrix<double>::random(b, b, 501 + b);
   Matrix<double> t(b, b);
-  tsqrt<double>(r1.view(), a2.view(), t.view());
+  tpqrt<double>(r1.view(), a2.view(), t.view(), 0, 0);
 
   Matrix<double> q = Matrix<double>::identity(2 * b);
-  tsmqr<double>(a2.view(), t.view(), q.block(0, 0, b, 2 * b),
-                q.block(b, 0, b, 2 * b), Trans::kNoTrans, 0);
+  tpmqrt<double>(a2.view(), t.view(), q.block(0, 0, b, 2 * b),
+                 q.block(b, 0, b, 2 * b), 0, Trans::kNoTrans, 0);
   EXPECT_LT(orthogonality_residual<double>(q.view()),
             residual_tolerance<double>(2 * b));
 }
@@ -181,13 +181,15 @@ TEST_P(TsSizes, TsmqrQThenQtRoundTrips) {
     for (index_t i = 0; i <= j; ++i) r1(i, j) = 1.0 + i + 2 * j;
   auto a2 = Matrix<double>::random(b, b, 502 + b);
   Matrix<double> t(b, b);
-  tsqrt<double>(r1.view(), a2.view(), t.view());
+  tpqrt<double>(r1.view(), a2.view(), t.view(), 0, 0);
 
   auto c1_0 = Matrix<double>::random(b, b, 503 + b);
   auto c2_0 = Matrix<double>::random(b, b, 504 + b);
   Matrix<double> c1 = c1_0, c2 = c2_0;
-  tsmqr<double>(a2.view(), t.view(), c1.view(), c2.view(), Trans::kTrans, 0);
-  tsmqr<double>(a2.view(), t.view(), c1.view(), c2.view(), Trans::kNoTrans, 0);
+  tpmqrt<double>(a2.view(), t.view(), c1.view(), c2.view(), 0, Trans::kTrans,
+                 0);
+  tpmqrt<double>(a2.view(), t.view(), c1.view(), c2.view(), 0,
+                 Trans::kNoTrans, 0);
   for (index_t j = 0; j < b; ++j)
     for (index_t i = 0; i < b; ++i) {
       EXPECT_NEAR(c1(i, j), c1_0(i, j), 1e-9);
@@ -211,13 +213,13 @@ TEST(Tsqrt, PreservesVBelowDiagonalOfTopTile) {
 
   auto a2 = Matrix<double>::random(b, b, 43);
   Matrix<double> t(b, b);
-  tsqrt<double>(top.view(), a2.view(), t.view());
+  tpqrt<double>(top.view(), a2.view(), t.view(), 0, 0);
   for (index_t j = 0; j < b; ++j)
     for (index_t i = j + 1; i < b; ++i)
       EXPECT_EQ(top(i, j), below_before(i, j));
 }
 
-// --- ttqrt / ttmqr ----------------------------------------------------------
+// --- TT: tpqrt / tpmqrt with l = b ----------------------------------------
 
 class TtSizes : public ::testing::TestWithParam<int> {};
 
@@ -233,11 +235,12 @@ TEST_P(TtSizes, TriangleOnTriangleReconstructs) {
     }
   Matrix<double> r1_0 = r1, r2_0 = r2;
   Matrix<double> t(b, b);
-  ttqrt<double>(r1.view(), r2.view(), t.view());
+  tpqrt<double>(r1.view(), r2.view(), t.view(), b, 0);
 
   // Q^T [R1; R2] = [R_new; 0].
   Matrix<double> c1 = r1_0, c2 = r2_0;
-  ttmqr<double>(r2.view(), t.view(), c1.view(), c2.view(), Trans::kTrans);
+  tpmqrt<double>(r2.view(), t.view(), c1.view(), c2.view(), b, Trans::kTrans,
+                 0);
   for (index_t j = 0; j < b; ++j) {
     for (index_t i = 0; i <= j; ++i) EXPECT_NEAR(c1(i, j), r1(i, j), 1e-9);
     for (index_t i = 0; i < b; ++i) EXPECT_NEAR(c2(i, j), 0.0, 1e-9);
@@ -253,11 +256,11 @@ TEST_P(TtSizes, QIsOrthogonal) {
       r2(i, j) = (i == j) ? 2.0 + j : 0.3 * (i - j);
     }
   Matrix<double> t(b, b);
-  ttqrt<double>(r1.view(), r2.view(), t.view());
+  tpqrt<double>(r1.view(), r2.view(), t.view(), b, 0);
 
   Matrix<double> q = Matrix<double>::identity(2 * b);
-  ttmqr<double>(r2.view(), t.view(), q.block(0, 0, b, 2 * b),
-                q.block(b, 0, b, 2 * b), Trans::kNoTrans);
+  tpmqrt<double>(r2.view(), t.view(), q.block(0, 0, b, 2 * b),
+                 q.block(b, 0, b, 2 * b), b, Trans::kNoTrans, 0);
   EXPECT_LT(orthogonality_residual<double>(q.view()),
             residual_tolerance<double>(2 * b));
 }
@@ -272,7 +275,7 @@ TEST_P(TtSizes, V2StaysUpperTriangular) {
       r2(i, j) = rnd(j, i) + (i == j ? 2 : 0);
     }
   Matrix<double> t(b, b);
-  ttqrt<double>(r1.view(), r2.view(), t.view());
+  tpqrt<double>(r1.view(), r2.view(), t.view(), b, 0);
   for (index_t j = 0; j < b; ++j)
     for (index_t i = j + 1; i < b; ++i) EXPECT_EQ(r2(i, j), 0.0);
 }
@@ -304,9 +307,9 @@ TEST(KernelsFloat, TsqrtReconstructsInSingle) {
   auto a2 = Matrix<float>::random(b, b, 11);
   Matrix<float> r1_0 = r1, a2_0 = a2;
   Matrix<float> t(b, b);
-  tsqrt<float>(r1.view(), a2.view(), t.view());
+  tpqrt<float>(r1.view(), a2.view(), t.view(), 0, 0);
   Matrix<float> c1 = r1_0, c2 = a2_0;
-  tsmqr<float>(a2.view(), t.view(), c1.view(), c2.view(), Trans::kTrans, 0);
+  tpmqrt<float>(a2.view(), t.view(), c1.view(), c2.view(), 0, Trans::kTrans, 0);
   for (index_t j = 0; j < b; ++j)
     for (index_t i = 0; i < b; ++i)
       EXPECT_NEAR(c2(i, j), 0.0f, 5e-5f);

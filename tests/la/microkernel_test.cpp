@@ -126,59 +126,50 @@ TEST(Microkernel, BetaZeroNeverReadsC) {
 }
 
 TEST(Microkernel, TrmmPackedMatchesDenseProduct) {
-  // Both sides, all 8 (uplo, trans, diag) cases, in place (b == c) and
-  // accumulating (C -= op(A) B), against gemm on the dense triangle. The
-  // small blocking makes the left side walk several column chunks of B. A's
-  // unstored triangle and, under kUnit, its diagonal hold NaN.
+  // All 8 (uplo, trans, diag) cases, in place (b == c) and accumulating
+  // (C -= op(A) B), against gemm on the dense triangle. The small blocking
+  // makes the multiply walk several column chunks of B. A's unstored
+  // triangle and, under kUnit, its diagonal hold NaN.
   const mk::Blocking bs{8, 2 * kMr, 2 * kNr};
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (auto side : {Side::kLeft, Side::kRight})
-    for (auto uplo : {UpLo::kUpper, UpLo::kLower})
-      for (auto trans : {Trans::kNoTrans, Trans::kTrans})
-        for (auto diag : {Diag::kUnit, Diag::kNonUnit})
-          for (index_t m : {1, kMr - 1, kMr + 1, 2 * kMr + 3})
-            for (index_t n : {1, kNr - 1, kNr + 1, 2 * kNr + 5})
-              for (bool accumulate : {false, true}) {
-                const index_t k = (side == Side::kLeft) ? m : n;
-                auto a = Matrix<double>::random(k, k, 31);
-                Matrix<double> tri(k, k);
-                for (index_t j = 0; j < k; ++j)
-                  for (index_t i = 0; i < k; ++i) {
-                    const bool stored =
-                        (uplo == UpLo::kUpper) ? (i <= j) : (i >= j);
-                    if (i == j && diag == Diag::kUnit) {
-                      tri(i, j) = 1.0;
-                      a(i, j) = nan;
-                    } else if (stored) {
-                      tri(i, j) = a(i, j);
-                    } else {
-                      a(i, j) = nan;
-                    }
+  for (auto uplo : {UpLo::kUpper, UpLo::kLower})
+    for (auto trans : {Trans::kNoTrans, Trans::kTrans})
+      for (auto diag : {Diag::kUnit, Diag::kNonUnit})
+        for (index_t m : {1, kMr - 1, kMr + 1, 2 * kMr + 3})
+          for (index_t n : {1, kNr - 1, kNr + 1, 2 * kNr + 5})
+            for (bool accumulate : {false, true}) {
+              auto a = Matrix<double>::random(m, m, 31);
+              Matrix<double> tri(m, m);
+              for (index_t j = 0; j < m; ++j)
+                for (index_t i = 0; i < m; ++i) {
+                  const bool stored =
+                      (uplo == UpLo::kUpper) ? (i <= j) : (i >= j);
+                  if (i == j && diag == Diag::kUnit) {
+                    tri(i, j) = 1.0;
+                    a(i, j) = nan;
+                  } else if (stored) {
+                    tri(i, j) = a(i, j);
+                  } else {
+                    a(i, j) = nan;
                   }
-                const auto b0 = Matrix<double>::random(m, n, 32);
-                const auto c0 = Matrix<double>::random(m, n, 33);
-                const double alpha = accumulate ? -1.0 : 1.0;
-                const double beta = accumulate ? 1.0 : 0.0;
-                const auto ref =
-                    (side == Side::kLeft)
-                        ? reference_gemm(trans, Trans::kNoTrans, alpha,
-                                         tri.view(), b0.view(), beta,
-                                         c0.view())
-                        : reference_gemm(Trans::kNoTrans, trans, alpha,
-                                         b0.view(), tri.view(), beta,
-                                         c0.view());
-                Matrix<double> c = accumulate ? c0 : b0;
-                mk::trmm_packed<double>(side, uplo, trans, diag, alpha,
-                                        a.view(),
-                                        accumulate ? b0.view() : c.view(),
-                                        beta, c.view(), bs);
-                for (index_t j = 0; j < n; ++j)
-                  for (index_t i = 0; i < m; ++i)
-                    ASSERT_NEAR(c(i, j), ref(i, j), tol_for(k) * k)
-                        << "side=" << (side == Side::kLeft ? "L" : "R")
-                        << " m=" << m << " n=" << n << " k=" << k
-                        << " accumulate=" << accumulate;
-              }
+                }
+              const auto b0 = Matrix<double>::random(m, n, 32);
+              const auto c0 = Matrix<double>::random(m, n, 33);
+              const double alpha = accumulate ? -1.0 : 1.0;
+              const double beta = accumulate ? 1.0 : 0.0;
+              const auto ref =
+                  reference_gemm(trans, Trans::kNoTrans, alpha, tri.view(),
+                                 b0.view(), beta, c0.view());
+              Matrix<double> c = accumulate ? c0 : b0;
+              mk::trmm_packed<double>(uplo, trans, diag, alpha, a.view(),
+                                      accumulate ? b0.view() : c.view(), beta,
+                                      c.view(), bs);
+              for (index_t j = 0; j < n; ++j)
+                for (index_t i = 0; i < m; ++i)
+                  ASSERT_NEAR(c(i, j), ref(i, j), tol_for(m) * m)
+                      << " m=" << m << " n=" << n
+                      << " accumulate=" << accumulate;
+            }
 }
 
 TEST(Microkernel, NonUnitLeadingDimensionSubviews) {

@@ -1,10 +1,13 @@
 // A non-default inner block width must reach every apply of the T factors,
-// not just the factor kernels: the factor tasks' own unmqr/tsmqr, the
+// not just the factor kernels: the factor tasks' own unmqr/tpmqrt, the
 // service's probe and full verify replays, and TiledQrFactorization's
-// apply_q/solve. With ib = 8 on 32-wide tiles the T planes hold 8 x 8
-// diagonal blocks; any apply that walked them at the default width would
-// read zeros as T and reconstruct the wrong Q, failing the residuals below.
+// apply_q/solve, under every elimination tree (TS tiles and TT tiles alike).
+// With ib = 8 on 32-wide tiles the T planes hold 8 x 8 diagonal blocks; any
+// apply that walked them at the default width would read zeros as T and
+// reconstruct the wrong Q, failing the residuals below.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "core/tiled_qr.hpp"
 #include "la/checks.hpp"
@@ -17,7 +20,12 @@ namespace {
 constexpr la::index_t kIb = 8;
 constexpr int kTile = 32;
 
-TEST(InnerBlockEndToEnd, ServiceVerifiesTsJobsAtBothTiers) {
+constexpr dag::Elimination kEveryTree[] = {
+    dag::Elimination::kTs, dag::Elimination::kTt, dag::Elimination::kTtFlat,
+    dag::Elimination::kHier};
+
+/// Runs fp32/fp64 jobs at the probe and full verify tiers under `elim`.
+void check_service_jobs(dag::Elimination elim) {
   svc::ServiceConfig config;
   config.inner_block = kIb;
   svc::QrService service(config);
@@ -26,7 +34,7 @@ TEST(InnerBlockEndToEnd, ServiceVerifiesTsJobsAtBothTiers) {
       svc::JobSpec spec;
       spec.a = la::Matrix<double>::random(160, 96, 42);
       spec.tile_size = kTile;
-      spec.elim = dag::Elimination::kTs;
+      spec.elim = elim;
       spec.precision = precision;
       spec.verify = verify;
       spec.compute_residual = true;
@@ -34,21 +42,35 @@ TEST(InnerBlockEndToEnd, ServiceVerifiesTsJobsAtBothTiers) {
       const double tol = precision == svc::Precision::kFp32
                              ? la::residual_tolerance<float>(160)
                              : la::residual_tolerance<double>(160);
-      ASSERT_EQ(r.status, svc::JobStatus::kOk)
-          << svc::to_string(precision) << ": " << r.error;
-      EXPECT_EQ(r.attempts, 1);
-      EXPECT_LT(r.verify_residual, tol) << svc::to_string(precision);
-      EXPECT_LT(r.residual, tol) << svc::to_string(precision);
+      const std::string where = std::string(dag::elimination_name(elim)) +
+                                " " + svc::to_string(precision);
+      ASSERT_EQ(r.status, svc::JobStatus::kOk) << where << ": " << r.error;
+      EXPECT_EQ(r.attempts, 1) << where;
+      EXPECT_LT(r.verify_residual, tol) << where;
+      EXPECT_LT(r.residual, tol) << where;
     }
-  EXPECT_EQ(service.stats().verify_failures, 0u);
+  EXPECT_EQ(service.stats().verify_failures, 0u)
+      << dag::elimination_name(elim);
+}
+
+TEST(InnerBlockEndToEnd, ServiceVerifiesTsJobsAtBothTiers) {
+  check_service_jobs(dag::Elimination::kTs);
+}
+
+TEST(InnerBlockEndToEnd, ServiceVerifiesTtJobsAtBothTiers) {
+  for (const auto elim : {dag::Elimination::kTt, dag::Elimination::kTtFlat,
+                          dag::Elimination::kHier})
+    check_service_jobs(elim);
 }
 
 template <typename T>
-void check_factorization_applies() {
+void check_factorization_applies(dag::Elimination elim) {
+  SCOPED_TRACE(dag::elimination_name(elim));
   const int m = 160, n = 96;
   const auto a = la::Matrix<T>::random(m, n, 43);
   typename core::TiledQrFactorization<T>::Options opts;
   opts.inner_block = kIb;
+  opts.elim = elim;
   const auto f = core::TiledQrFactorization<T>::factor(a, kTile, opts);
   const double tol = la::residual_tolerance<T>(m);
 
@@ -74,11 +96,11 @@ void check_factorization_applies() {
 }
 
 TEST(InnerBlockEndToEnd, FactorizationApplyQAndSolveFp32) {
-  check_factorization_applies<float>();
+  for (const auto elim : kEveryTree) check_factorization_applies<float>(elim);
 }
 
 TEST(InnerBlockEndToEnd, FactorizationApplyQAndSolveFp64) {
-  check_factorization_applies<double>();
+  for (const auto elim : kEveryTree) check_factorization_applies<double>(elim);
 }
 
 }  // namespace
