@@ -1,7 +1,7 @@
 // Heterogeneous solve: plan a factorization for the paper's CPU + 3 GPU
-// node, execute it functionally on host threads routed exactly like the
-// device schedule, simulate the same schedule for timing, and solve a
-// least-squares problem — the full workflow a downstream user would run.
+// node, simulate that schedule for timing, then factor the plan's
+// elimination tree on the host and solve a least-squares problem — the full
+// workflow a downstream user would run.
 //
 //   ./hetero_solve [--size 256] [--tile 16] [--rhs 4]
 #include <cstdio>
@@ -40,11 +40,11 @@ int main(int argc, char** argv) {
               "(comm share %.1f%%)\n",
               sim_result.makespan_s * 1e3, sim_result.comm_fraction() * 100);
 
-  // 3. Execute the same schedule functionally on host threads.
+  // 3. Factor the plan's elimination tree on the host.
   auto a = la::Matrix<double>::random(m, n, 11);
   typename core::TiledQrFactorization<double>::Options opts;
-  opts.plan = &plan;
-  opts.threads_per_device = 1;
+  opts.elim = plan.config().elim;
+  opts.hier_groups = plan.hier_groups();
   auto f = core::TiledQrFactorization<double>::factor(a, b, opts);
 
   // 4. Solve and report least-squares optimality (A^T residual = 0).

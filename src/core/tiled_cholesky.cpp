@@ -37,41 +37,13 @@ void execute_cholesky_task(const dag::Task& task, la::TiledMatrix<T>& a) {
 }
 
 template <typename T>
-TiledCholesky<T> TiledCholesky<T>::factor(const la::Matrix<T>& a, int b,
-                                          const Options& options) {
+TiledCholesky<T> TiledCholesky<T>::factor(const la::Matrix<T>& a, int b) {
   TQR_REQUIRE(a.rows() == a.cols(), "Cholesky needs a square matrix");
   la::TiledMatrix<T> tiles = la::TiledMatrix<T>::from_dense(a, b);
   dag::TaskGraph graph = dag::build_tiled_cholesky_graph(tiles.tile_rows());
 
-  if (options.plan == nullptr) {
-    for (const dag::Task& task : graph.tasks())
-      execute_cholesky_task<T>(task, tiles);
-  } else {
-    const Plan& plan = *options.plan;
-    TQR_REQUIRE(plan.mt() == tiles.tile_rows() &&
-                    plan.nt() == tiles.tile_cols(),
-                "plan grid does not match matrix");
-    const int groups = static_cast<int>(plan.participants().size());
-    std::vector<int> group_of(16, -1);
-    for (int g = 0; g < groups; ++g) group_of[plan.participants()[g]] = g;
-    runtime::DagExecutor::Options exec_opts;
-    exec_opts.num_devices = groups;
-    exec_opts.panel_priority = true;
-    exec_opts.threads_per_device.assign(
-        groups, std::max(1, options.threads_per_device));
-    exec_opts.trace = options.trace;
-    runtime::DagExecutor::run(
-        graph,
-        [&](dag::task_id, const dag::Task& task) {
-          const int g = group_of[plan.device_for(task)];
-          TQR_ASSERT(g >= 0, "task routed to a non-participating device");
-          return g;
-        },
-        [&](dag::task_id, const dag::Task& task, int) {
-          execute_cholesky_task<T>(task, tiles);
-        },
-        exec_opts);
-  }
+  for (const dag::Task& task : graph.tasks())
+    execute_cholesky_task<T>(task, tiles);
   return TiledCholesky<T>(std::move(tiles), std::move(graph));
 }
 

@@ -1,16 +1,16 @@
 // Tiled Cholesky factorization driver — the paper's scheduling framework
 // applied to a second factorization. Shares everything with the QR driver:
-// tile storage, the dependence-built task graph, Plan routing (POTRF/TRSM on
-// the main device, SYRK/GEMM to the column owners), the threaded executor,
-// and the discrete-event simulator.
+// tile storage, the dependence-built task graph, core::Plan's modeled
+// routing (POTRF/TRSM on the main device, SYRK/GEMM to the column owners)
+// for the discrete-event simulator, and runtime::DagExecutor for parallel
+// host execution of execute_cholesky_task. factor() replays the graph
+// sequentially.
 #pragma once
 
-#include "core/plan.hpp"
 #include "dag/graph.hpp"
 #include "dag/tiled_cholesky_dag.hpp"
 #include "la/cholesky.hpp"
 #include "la/tiled_matrix.hpp"
-#include "runtime/dag_executor.hpp"
 
 namespace tqr::core {
 
@@ -21,17 +21,9 @@ void execute_cholesky_task(const dag::Task& task, la::TiledMatrix<T>& a);
 template <typename T>
 class TiledCholesky {
  public:
-  struct Options {
-    /// When set, run on the host pool routed by `plan`; else sequential.
-    const Plan* plan = nullptr;
-    int threads_per_device = 1;
-    runtime::Trace* trace = nullptr;
-  };
-
   /// Factors SPD `a` (lower triangle used; rows == cols, multiple of b).
   /// Throws tqr::Error if a pivot loses positivity.
-  static TiledCholesky factor(const la::Matrix<T>& a, int b,
-                              const Options& options = {});
+  static TiledCholesky factor(const la::Matrix<T>& a, int b);
 
   std::int32_t order() const { return a_.rows(); }
   int tile_size() const { return a_.tile_size(); }

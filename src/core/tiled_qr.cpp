@@ -52,47 +52,13 @@ TiledQrFactorization<T> TiledQrFactorization<T>::factor(
   la::TiledMatrix<T> tiles = la::TiledMatrix<T>::from_dense(a, b);
   la::TiledMatrix<T> tg(tiles.rows(), tiles.cols(), b);
   la::TiledMatrix<T> te(tiles.rows(), tiles.cols(), b);
-  const dag::Elimination elim =
-      options.plan ? options.plan->config().elim : options.elim;
-  dag::TaskGraph graph = dag::build_tiled_qr_graph(
-      tiles.tile_rows(), tiles.tile_cols(), elim,
-      options.plan ? options.plan->hier_groups() : options.hier_groups);
-
-  if (options.plan == nullptr) {
-    for (const dag::Task& task : graph.tasks())
-      execute_task<T>(task, tiles, tg, te, options.inner_block);
-  } else {
-    const Plan& plan = *options.plan;
-    TQR_REQUIRE(plan.mt() == tiles.tile_rows() &&
-                    plan.nt() == tiles.tile_cols(),
-                "plan grid does not match matrix");
-    // Device groups are the participants; route tasks with the plan and let
-    // the DAG executor enforce dependences.
-    const int groups = static_cast<int>(plan.participants().size());
-    // Map device id -> group index for routing.
-    std::vector<int> group_of(16, -1);
-    for (int g = 0; g < groups; ++g) group_of[plan.participants()[g]] = g;
-
-    runtime::DagExecutor::Options exec_opts;
-    exec_opts.num_devices = groups;
-    exec_opts.threads_per_device.assign(
-        groups, std::max(1, options.threads_per_device));
-    exec_opts.trace = options.trace;
-    runtime::DagExecutor::run(
-        graph,
-        [&](dag::task_id, const dag::Task& task) {
-          const int dev = plan.device_for(task);
-          const int g = group_of[dev];
-          TQR_ASSERT(g >= 0, "task routed to a non-participating device");
-          return g;
-        },
-        [&](dag::task_id, const dag::Task& task, int) {
-          execute_task<T>(task, tiles, tg, te, options.inner_block);
-        },
-        exec_opts);
-  }
+  dag::TaskGraph graph =
+      dag::build_tiled_qr_graph(tiles.tile_rows(), tiles.tile_cols(),
+                                options.elim, options.hier_groups);
+  for (const dag::Task& task : graph.tasks())
+    execute_task<T>(task, tiles, tg, te, options.inner_block);
   return TiledQrFactorization<T>(std::move(tiles), std::move(tg),
-                                 std::move(te), std::move(graph), elim,
+                                 std::move(te), std::move(graph), options.elim,
                                  options.inner_block);
 }
 

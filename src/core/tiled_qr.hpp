@@ -2,22 +2,20 @@
 //
 // TiledQrFactorization<T> owns the factored tile storage (the matrix tiles
 // plus the two block-reflector planes) and the task graph that produced it,
-// so Q can be re-applied by replaying the factor tasks. Factorization can
-// run sequentially (deterministic order) or on the host thread pool routed
-// exactly like the device schedule (runtime::DagExecutor + core::Plan),
-// which is how tests prove schedule-independence of the numerics.
+// so Q can be re-applied by replaying the factor tasks. factor() replays the
+// graph sequentially in task order. Parallel host execution is
+// runtime::DagExecutor driving execute_task over the same graph (what
+// svc::QrService does); tests check it reproduces the sequential factors
+// bitwise.
 #pragma once
 
 #include <optional>
 
-#include "core/plan.hpp"
 #include "dag/graph.hpp"
 #include "dag/tiled_qr_dag.hpp"
 #include "la/checks.hpp"
 #include "la/kernels.hpp"
 #include "la/tiled_matrix.hpp"
-#include "runtime/dag_executor.hpp"
-#include "runtime/trace.hpp"
 
 namespace tqr::core {
 
@@ -49,23 +47,17 @@ template <typename T>
 class TiledQrFactorization {
  public:
   struct Options {
-    /// Elimination tree of the host run (TS by default, like svc::JobSpec).
-    /// A plan-routed run executes the tree its plan was built for
-    /// (plan->config().elim), so host and modeled schedules stay one graph.
+    /// Elimination tree (TS by default, like svc::JobSpec). To factor the
+    /// tree a core::Plan models, pass plan.config().elim and
+    /// plan.hier_groups().
     dag::Elimination elim = dag::Elimination::kTs;
-    /// Row groups for Elimination::kHier (0 = single group when no plan is
-    /// given; with a plan the plan's resolved group count wins).
+    /// Row groups for Elimination::kHier (0 = one group).
     std::int32_t hier_groups = 0;
     /// Inner block width `ib`: the panel and T block width of every factor
     /// kernel (0 = la::kPanelBase, >= the tile size = one full-T block). Kept
     /// with the factors, so apply_q and solve replay them with the same
     /// value.
     la::index_t inner_block = 0;
-    /// When set, run on the host pool with this many slave threads per
-    /// participating device group, routed by `plan`; otherwise sequential.
-    const Plan* plan = nullptr;
-    int threads_per_device = 1;
-    runtime::Trace* trace = nullptr;
   };
 
   /// Factors `a` (rows >= cols, both multiples of b).

@@ -33,7 +33,9 @@ class TaskGraph {
   /// Number of immediate predecessors of t.
   std::int32_t indegree(task_id t) const { return indegree_[t]; }
 
-  /// Immediate successors of t (span into the CSR arrays).
+  /// Immediate successors of t in strictly ascending id order (span into
+  /// the CSR arrays). Builder::build fills each range in the order tasks
+  /// were added, and tasks are added in id order.
   const task_id* successors_begin(task_id t) const {
     return succ_.data() + succ_offset_[t];
   }

@@ -1,23 +1,16 @@
 // Dependence-driven host execution of a TaskGraph.
 //
-// Mirrors the paper's Fig. 7 system structure: a manager (the calling
-// thread) owns dependence bookkeeping implicitly via atomic counters; each
-// *computing thread group* models one device and serves that device's ready
-// queue. A device group can have several slave threads (the paper's CPU
-// computing thread spawns CPU slave threads; a GPU computing thread feeds
-// one GPU).
+// The PLASMA runtime model: one set of worker threads pulls ready tiles from
+// one DAG. There is no manager thread; dependence bookkeeping lives in
+// per-task atomic counters, and whichever worker finishes a task releases
+// its successors onto its own work-stealing deque. The paper's CPU + GPU
+// split (Alg. 2-4) is modeled by core::Plan and the sim:: discrete-event
+// simulator, never by host threads pretending to be devices.
 //
-// The kernel callback receives (task_id, task, device); device is the index
-// of the computing-thread group the task was routed to by the affinity
-// function — the same routing the simulator uses, so a functional run and a
-// simulated run of one plan execute identical schedules up to timing.
-//
-// A DagExecutor instance is a *resident engine*: its device thread groups
-// are spawned once at construction and reused by every execute() call, so a
-// service that factors many matrices pays the thread start/stop cost once
-// instead of per run (the amortization tqr::svc is built on). The static
-// run() keeps the original one-shot convenience: it spins up a transient
-// engine for a single graph.
+// A DagExecutor instance is a *resident engine*: its workers are spawned
+// once at construction and reused by every execute() call, so a service
+// that factors many matrices pays the thread start/stop cost once instead
+// of per run (the amortization tqr::svc is built on).
 #pragma once
 
 #include <atomic>
@@ -43,9 +36,10 @@ struct ExecCounters {
   std::atomic<std::uint64_t> steals{0};
   /// Times a worker exhausted its spin budget and parked on the futex.
   std::atomic<std::uint64_t> parks{0};
-  /// Ready tasks routed cross-thread through a device inbox ring.
+  /// Seed tasks (indegree 0) the execute() caller pushed through the
+  /// shared inbox ring.
   std::atomic<std::uint64_t> inbox_pushes{0};
-  /// Ready tasks the releasing worker kept on its own deque (the free path).
+  /// Released successors the releasing worker kept on its own deque.
   std::atomic<std::uint64_t> local_pushes{0};
   /// Popped-then-dropped plus never-dispatched tasks accounted during an
   /// aborted or failed run's drain (see the `cancelled`/`drained` trace
@@ -55,44 +49,34 @@ struct ExecCounters {
 
 class DagExecutor {
  public:
-  /// Routes a task to a device group; must return a value in
-  /// [0, num_devices).
+  /// Kept for the call shape existing callers spell; execute() never calls
+  /// it (every task goes to the one worker set).
   using Affinity = std::function<int(dag::task_id, const dag::Task&)>;
-  /// Executes the kernel for a task on the routed device group.
+  /// Executes the kernel for a task. The third argument is the worker-set
+  /// index and is always 0.
   using Kernel = std::function<void(dag::task_id, const dag::Task&, int)>;
 
   struct Options {
+    /// Must be 1: the engine has one worker set.
     int num_devices = 1;
-    /// Serve ready queues lowest-task-id-first (panel-major priority, the
-    /// order the simulator uses). With the work-stealing scheduler this is
-    /// a best-effort dispatch *hint* — batches of simultaneously-released
-    /// tasks are ordered, single-thread device groups dispatch in panel
-    /// order, but stealing never re-sorts across workers (a global sort
-    /// under a shared lock is exactly the contention this design removes).
-    bool panel_priority = false;
-    /// Slave threads per device group (>= 1 each). Size must equal
-    /// num_devices; empty means one thread per device.
+    /// Worker count, as at most one entry (>= 1); empty means one worker.
     std::vector<int> threads_per_device;
-    /// Optional trace sink for run() (may be nullptr). execute() takes its
-    /// trace per call instead, since one engine serves many runs.
-    Trace* trace = nullptr;
     /// Optional shared telemetry sink (steal/park/drain counters). Must
     /// outlive the engine. May be shared between engines.
     ExecCounters* counters = nullptr;
   };
 
-  /// Spawns the persistent device thread groups. Throws InvalidArgument on
-  /// bad options.
+  /// Spawns the persistent workers. Throws InvalidArgument on bad options.
   explicit DagExecutor(const Options& options);
-  /// Joins the thread groups. Must not race an in-flight execute().
+  /// Joins the workers. Must not race an in-flight execute().
   ~DagExecutor();
 
   DagExecutor(const DagExecutor&) = delete;
   DagExecutor& operator=(const DagExecutor&) = delete;
 
-  /// Executes one graph to completion on the resident thread groups and
-  /// returns wall-clock seconds. Rethrows the first kernel exception (after
-  /// the groups have quiesced); the engine stays usable for the next
+  /// Executes one graph to completion on the resident workers and returns
+  /// wall-clock seconds. Rethrows the first kernel exception (after the
+  /// workers have quiesced); the engine stays usable for the next
   /// execute() afterwards. Thread-safe: concurrent calls are serialized.
   ///
   /// `cancel` (optional) makes the run abortable: the token is checked at
@@ -117,19 +101,15 @@ class DagExecutor {
                  CancelToken* cancel = nullptr,
                  const Kernel* post_task = nullptr);
 
-  int num_devices() const;
   /// Number of execute() calls that ran to completion (diagnostics).
-  std::uint64_t runs_completed() const;
-
-  /// One-shot convenience: builds a transient engine, runs the whole graph,
-  /// returns wall-clock seconds. Throws whatever the kernel throws (first
-  /// exception wins; execution stops draining).
-  static double run(const dag::TaskGraph& graph, const Affinity& affinity,
-                    const Kernel& kernel, const Options& options);
+  std::uint64_t runs_completed() const {
+    return completed_.load(std::memory_order_acquire);
+  }
 
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
+  std::atomic<std::uint64_t> completed_{0};
 };
 
 }  // namespace tqr::runtime

@@ -24,13 +24,13 @@ struct TraceEvent {
 
   std::int32_t task = -1;
   dag::Op op = dag::Op::kGeqrt;
+  /// Modeled device for simulated events; 0 for host executor runs.
   std::int32_t device = -1;
   double start_s = 0;  // seconds since run start (wall or simulated)
   double end_s = 0;
   Kind kind = Kind::kTask;
-  /// Executor worker thread (global id across device groups) that ran or
-  /// dropped the task; -1 for simulated events and for tasks drained from a
-  /// shared inbox no worker had popped.
+  /// Executor worker thread that ran or dropped the task; -1 for simulated
+  /// events and for seed tasks drained from the inbox no worker had popped.
   std::int32_t worker = -1;
 };
 

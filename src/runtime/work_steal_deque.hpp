@@ -14,8 +14,8 @@
 // models poorly) — top_/bottom_ use seq_cst at the two Dekker points
 // instead, which costs nothing measurable next to a kernel launch.
 //
-// push() reports false when full; DagExecutor spills to the device's MPMC
-// inbox ring, so a bounded deque can never lose or deadlock a task.
+// push() reports false when full. DagExecutor asserts it never is: a deque
+// sized to the run's task count cannot fill when each task is pushed once.
 #pragma once
 
 #include <atomic>

@@ -12,8 +12,8 @@
 //    additive communication model of the paper's Eq. 11.
 //
 // The simulator is purely timing — no numerics. Functional execution of the
-// same schedule is the job of core::TiledQr + runtime::DagExecutor; tests
-// cross-check that both traverse identical schedules.
+// same task graph is the job of core::TiledQrFactorization (sequential) and
+// runtime::DagExecutor (threaded, no device routing).
 #pragma once
 
 #include <array>

@@ -36,7 +36,7 @@ la::index_t round_up(la::index_t n, la::index_t b) {
   return (n + b - 1) / b * b;
 }
 
-/// Workers in each lane's device group: one per hardware thread.
+/// Workers in each lane's engine: one per hardware thread.
 int host_workers() {
   return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
@@ -662,7 +662,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
     a_fro = std::sqrt(fro2);
   }
 
-  // Execute the factorization graph on the lane engine's one device group.
+  // Execute the factorization graph on the lane engine's workers.
   // The kernel wrapper is the service's task-boundary hook: it enforces the
   // exec deadline (measured from lane pickup), short-circuits once the token
   // latched (the executor then aborts without releasing successors), and

@@ -9,9 +9,8 @@
 //                   │ pop
 //                   ▼
 //   lane 0..L-1: persistent worker, each owning a resident
-//                runtime::DagExecutor: one device group of
-//                hardware_concurrency() workers that outlives every job
-//                the lane runs
+//                runtime::DagExecutor: hardware_concurrency() workers
+//                that outlive every job the lane runs
 //                   │
 //                   ├─ PlanCache: (shape, tile, elim) -> dag::TaskGraph;
 //                   │    repeat shapes skip dependence analysis entirely
@@ -19,8 +18,8 @@
 //                   ├─ WorkspacePool: recycled tile + T-factor storage;
 //                   │    steady state allocates nothing
 //                   └─ execute on the lane engine: every worker pulls ready
-//                        tiles from the one DAG (work stealing, no device
-//                        routing — the host has no modeled GPUs)
+//                        tiles from the one DAG (work stealing; the
+//                        executor has no device routing)
 //
 // Jobs on different lanes run concurrently; each lane's engine serves one
 // job at a time. Results come back through std::future<JobResult>; admission

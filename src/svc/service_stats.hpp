@@ -57,7 +57,7 @@ struct ServiceStats {
   std::uint64_t exec_steals = 0;       // tasks taken from a sibling's deque
   std::uint64_t exec_parks = 0;        // spin budgets exhausted -> futex park
   std::uint64_t exec_local_pushes = 0; // ready tasks kept on the owner deque
-  std::uint64_t exec_inbox_pushes = 0; // ready tasks routed cross-thread
+  std::uint64_t exec_inbox_pushes = 0; // seed tasks through the inbox ring
   /// Tasks dropped without executing (cancel at a dispatch boundary or an
   /// aborted run's queue drain). Balances traces: executed + drained ==
   /// dispatched for every run.

@@ -90,28 +90,6 @@ TEST(TiledCholesky, GraphCountsMatchClosedForm) {
   }
 }
 
-TEST(TiledCholesky, ParallelExecutionMatchesSequential) {
-  const int n = 48, b = 8;
-  auto a = random_spd(n, 40);
-  auto f_seq = TiledCholesky<double>::factor(a, b);
-
-  const sim::Platform platform = sim::paper_platform();
-  PlanConfig pc;
-  pc.tile_size = b;
-  pc.main_policy = MainPolicy::kFixed;
-  pc.fixed_main = 1;
-  pc.count_policy = CountPolicy::kAll;
-  Plan plan(platform, n / b, n / b, pc);
-  typename TiledCholesky<double>::Options opts;
-  opts.plan = &plan;
-  opts.threads_per_device = 2;
-  auto f_par = TiledCholesky<double>::factor(a, b, opts);
-
-  for (index_t j = 0; j < n; ++j)
-    for (index_t i = j; i < n; ++i)
-      EXPECT_EQ(f_par.tiles().at(i, j), f_seq.tiles().at(i, j));
-}
-
 TEST(TiledCholesky, SimulatesOnThePaperPlatform) {
   const int nt = 20;
   auto g = dag::build_tiled_cholesky_graph(nt);

@@ -95,16 +95,15 @@ TEST_P(ConsistencyFuzz, ParallelWriteHistoryMatchesSequential) {
     std::vector<std::vector<int>> parallel(fc.resources);
     std::mutex m;
     runtime::DagExecutor::Options opts;
-    opts.num_devices = 3;
-    opts.threads_per_device = {2, 2, 2};
-    runtime::DagExecutor::run(
-        fc.graph, [](task_id t, const Task&) { return t % 3; },
+    opts.threads_per_device = {6};
+    runtime::DagExecutor engine(opts);
+    engine.execute(
+        fc.graph, [](task_id, const Task&) { return 0; },
         [&](task_id t, const Task&, int) {
           std::lock_guard<std::mutex> lock(m);
           for (const auto& [res, writes] : fc.accesses[t])
             if (writes) parallel[res].push_back(t);
-        },
-        opts);
+        });
     EXPECT_EQ(parallel, sequential) << "trial " << trial;
   }
 }

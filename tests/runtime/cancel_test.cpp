@@ -91,8 +91,7 @@ TEST(DagExecutorCancel, CancelBeforeExecuteThrowsAndRunsNothing) {
 TEST(DagExecutorCancel, MidRunCancelAbortsPromptlyAndEngineStaysUsable) {
   constexpr int kTasks = 200;
   DagExecutor::Options opts;
-  opts.num_devices = 2;
-  opts.threads_per_device = {1, 1};
+  opts.threads_per_device = {2};
   DagExecutor engine(opts);
   dag::TaskGraph g = chain(kTasks);
   std::atomic<int> ran{0};

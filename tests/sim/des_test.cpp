@@ -182,6 +182,7 @@ TEST(Des, TraceCoversAllTasksWithConsistentIntervals) {
     EXPECT_GE(e.start_s, 0.0);
     EXPECT_GT(e.end_s, e.start_s);
     EXPECT_LE(e.end_s, r.makespan_s + 1e-12);
+    EXPECT_EQ(e.device, assign[static_cast<std::size_t>(e.task)]);
   }
 }
 
