@@ -1,5 +1,6 @@
 #include "core/batched_qr.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 
@@ -109,12 +110,20 @@ double BatchedQr<T>::residual(la::index_t p, const la::Matrix<T>& a) const {
     for (la::index_t i = 0; i <= (j < m ? j : m - 1); ++i)
       qr(i, j) = fac(i, j);
   apply_q_dense(fac, tau, qr, /*transpose=*/false);
+  // Both norms are taken relative to A's max-abs entry, so their squares
+  // neither overflow nor underflow at the ends of T's range.
+  double amax = 0;
+  for (la::index_t j = 0; j < n; ++j)
+    for (la::index_t i = 0; i < m; ++i)
+      amax = std::max(amax, std::abs(static_cast<double>(a(i, j))));
+  const double unit = amax > 0 ? amax : 1.0;
   double diff2 = 0, ref2 = 0;
   for (la::index_t j = 0; j < n; ++j)
     for (la::index_t i = 0; i < m; ++i) {
-      const double d = static_cast<double>(qr(i, j)) - a(i, j);
+      const double d = (static_cast<double>(qr(i, j)) - a(i, j)) / unit;
+      const double r = static_cast<double>(a(i, j)) / unit;
       diff2 += d * d;
-      ref2 += static_cast<double>(a(i, j)) * a(i, j);
+      ref2 += r * r;
     }
   return ref2 > 0 ? std::sqrt(diff2 / ref2) : std::sqrt(diff2);
 }

@@ -64,11 +64,7 @@ TiledQrFactorization<T> TiledQrFactorization<T>::factor(
 
 template <typename T>
 la::Matrix<T> TiledQrFactorization<T>::r() const {
-  const std::int32_t n = a_.cols();
-  la::Matrix<T> out(n, n);
-  for (std::int32_t j = 0; j < n; ++j)
-    for (std::int32_t i = 0; i <= j; ++i) out(i, j) = a_.at(i, j);
-  return out;
+  return la::upper_triangle(a_, a_.cols());
 }
 
 template <typename T>

@@ -29,9 +29,11 @@
 // bitwise.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "common/error.hpp"
 #include "la/matrix.hpp"
@@ -137,6 +139,37 @@ class BatchMatrix {
 
 namespace batch {
 
+namespace detail {
+
+/// Rescales lane w of column k of the interleaved chunk `a` by 2^-e, with
+/// 2^e the largest power of two not above the max-abs entry of [alpha; x]
+/// (rows k..m): x is scaled in place, and alpha, ||x||^2 and
+/// alpha^2 + ||x||^2 are recomputed on the scaled values; `unscale` becomes
+/// 2^e. The diagonal entry itself and a zero or non-finite column are left
+/// as they are.
+template <typename T>
+void rescale_lane(index_t m, index_t k, T* a, index_t w, T& alpha, T& xnorm2,
+                  T& norm2, T& unscale) {
+  constexpr index_t W = batch_width<T>();
+  auto at = [&](index_t i) -> T& {
+    return a[(static_cast<std::size_t>(k) * m + i) * W + w];
+  };
+  T amax = T(0);
+  for (index_t i = k; i < m; ++i) amax = std::max(amax, std::abs(at(i)));
+  if (!(amax > T(0)) || !std::isfinite(amax)) return;
+  const int e = std::ilogb(amax);
+  xnorm2 = T(0);
+  for (index_t i = k + 1; i < m; ++i) {
+    at(i) = std::ldexp(at(i), -e);
+    xnorm2 += at(i) * at(i);
+  }
+  alpha = std::ldexp(at(k), -e);
+  norm2 = alpha * alpha + xnorm2;
+  unscale = std::ldexp(T(1), e);
+}
+
+}  // namespace detail
+
 /// In-place Householder QR of every lane in one chunk. On return the upper
 /// triangle of each lane holds its R, the strict lower triangle holds the
 /// reflector vectors V (unit diagonal implied), and tau[k*W + w] holds lane
@@ -148,7 +181,8 @@ void qr_factor_chunk(index_t m, index_t n, T* a, T* tau) {
   auto col = [&](index_t i, index_t j) {
     return a + (static_cast<std::size_t>(j) * m + i) * W;
   };
-  alignas(64) T xnorm2[W], tk[W], scale[W], wacc[W];
+  alignas(64) T xnorm2[W], norm2[W], alphas[W], unscale[W], tk[W], scale[W],
+      wacc[W];
   for (index_t k = 0; k < n; ++k) {
     for (index_t w = 0; w < W; ++w) xnorm2[w] = T(0);
     for (index_t i = k + 1; i < m; ++i) {
@@ -158,15 +192,29 @@ void qr_factor_chunk(index_t m, index_t n, T* a, T* tau) {
     T* akk = col(k, k);
     T* tauk = tau + static_cast<std::size_t>(k) * W;
     for (index_t w = 0; w < W; ++w) {
-      const T alpha = akk[w];
-      const T norm = std::sqrt(alpha * alpha + xnorm2[w]);
+      alphas[w] = akk[w];
+      norm2[w] = akk[w] * akk[w] + xnorm2[w];
+      unscale[w] = T(1);
+    }
+    // The fast sum of squares overflows on huge columns and underflows on
+    // tiny ones, where it can even hide a live column. Such a lane is redone
+    // on its column scaled by a power of two near its max-abs entry (exact),
+    // and beta scaled back; v and tau do not depend on the scale.
+    for (index_t w = 0; w < W; ++w)
+      if (!(norm2[w] >= std::numeric_limits<T>::min() &&
+            norm2[w] <= std::numeric_limits<T>::max()))
+        detail::rescale_lane(m, k, a, w, alphas[w], xnorm2[w], norm2[w],
+                             unscale[w]);
+    for (index_t w = 0; w < W; ++w) {
+      const T alpha = alphas[w];
+      const T norm = std::sqrt(norm2[w]);
       const T beta = alpha >= T(0) ? -norm : norm;
       // Dead column: H_k = I. The guarded divisions produce values the
       // selects below discard (IEEE, no traps).
       const bool live = xnorm2[w] > T(0);
       tk[w] = live ? (beta - alpha) / beta : T(0);
       scale[w] = live ? T(1) / (alpha - beta) : T(0);
-      akk[w] = live ? beta : alpha;
+      akk[w] = live ? beta * unscale[w] : akk[w];
     }
     for (index_t w = 0; w < W; ++w) tauk[w] = tk[w];
     for (index_t i = k + 1; i < m; ++i) {

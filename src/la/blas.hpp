@@ -97,11 +97,25 @@ void gemm_naive(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
         for (index_t i = 0; i < m; ++i) c(i, j) += a(i, p) * bpj;
       }
   } else if (ta == Trans::kTrans && tb == Trans::kNoTrans) {
-    // Columns of A and B are contiguous: each output element is a SIMD dot.
-    for (index_t j = 0; j < n; ++j)
-      for (index_t i = 0; i < m; ++i)
-        c(i, j) +=
-            alpha * mk::dot<T>(k, a.data + i * a.ld, b.data + j * b.ld);
+    // Columns of A and B are contiguous: each output element is a SIMD dot,
+    // 4 x 4 of them at a time so every loaded vector feeds four FMAs.
+    constexpr index_t kB = 4;
+    for (index_t j = 0; j < n; j += kB)
+      for (index_t i = 0; i < m; i += kB) {
+        const T* x = a.data + static_cast<std::size_t>(i) * a.ld;
+        const T* y = b.data + static_cast<std::size_t>(j) * b.ld;
+        T* cij = c.data + static_cast<std::size_t>(j) * c.ld + i;
+        if (m - i >= kB && n - j >= kB) {
+          mk::dot_block<T, kB, kB>(k, x, a.ld, y, b.ld, alpha, cij, c.ld);
+          continue;
+        }
+        for (index_t q = 0; q < std::min(kB, n - j); ++q)
+          for (index_t r = 0; r < std::min(kB, m - i); ++r)
+            mk::dot_block<T, 1, 1>(
+                k, x + static_cast<std::size_t>(r) * a.ld, a.ld,
+                y + static_cast<std::size_t>(q) * b.ld, b.ld, alpha,
+                cij + static_cast<std::size_t>(q) * c.ld + r, c.ld);
+      }
   } else if (ta == Trans::kNoTrans && tb == Trans::kTrans) {
     for (index_t j = 0; j < n; ++j)
       for (index_t p = 0; p < k; ++p) {
@@ -132,6 +146,16 @@ bool packs(index_t m, index_t n, index_t k) {
   return false;
 }
 
+/// A^T B with an output below 32 x 32, or fewer rows than one micro-panel,
+/// runs faster as gemm_naive's blocked dots over the contiguous columns than
+/// through the engine, whose A pack transposes and whose register tile would
+/// be mostly padding (EXPERIMENTS.md, "Kernel floor").
+template <typename T>
+bool tn_dots_win(Trans ta, Trans tb, index_t m, index_t n) {
+  return ta == Trans::kTrans && tb == Trans::kNoTrans &&
+         (m < mk::RegisterBlocking<T>::mr || m * n < 32 * 32);
+}
+
 }  // namespace detail
 
 /// C = alpha * op(A) * op(B) + beta * C. Dispatches to the packed
@@ -144,7 +168,8 @@ template <typename T>
 void gemm(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
           ConstMatrixView<T> b, T beta, MatrixView<T> c) {
   const index_t k = (ta == Trans::kNoTrans) ? a.cols : a.rows;
-  if (alpha != T(0) && detail::packs<T>(c.rows, c.cols, k)) {
+  if (alpha != T(0) && detail::packs<T>(c.rows, c.cols, k) &&
+      !detail::tn_dots_win<T>(ta, tb, c.rows, c.cols)) {
     mk::gemm_packed<T>(ta, tb, alpha, a, b, beta, c);
     return;
   }
@@ -413,5 +438,23 @@ double norm_max(ConstMatrixView<T> a) {
       acc = std::max(acc, std::abs(static_cast<double>(a(i, j))));
   return acc;
 }
+
+// Compiled once, in la/instantiations.cpp, for float and double: every
+// other translation unit links that copy instead of instantiating (and
+// inlining) its own, so a result's bits never depend on the caller.
+#define TQR_LA_BLAS_TEMPLATES(EXTERN, T)                                    \
+  EXTERN template void gemm<T>(Trans, Trans, T, ConstMatrixView<T>,         \
+                               ConstMatrixView<T>, T, MatrixView<T>);       \
+  EXTERN template void trmm_left<T>(UpLo, Trans, Diag, ConstMatrixView<T>,  \
+                                    MatrixView<T>);                         \
+  EXTERN template void trmm_left<T>(UpLo, Trans, Diag, T,                   \
+                                    ConstMatrixView<T>, ConstMatrixView<T>, \
+                                    T, MatrixView<T>);                      \
+  EXTERN template void trsm_left<T>(UpLo, Trans, Diag, ConstMatrixView<T>,  \
+                                    MatrixView<T>);                         \
+  EXTERN template double norm_frobenius<T>(ConstMatrixView<T>);
+
+TQR_LA_BLAS_TEMPLATES(extern, float)
+TQR_LA_BLAS_TEMPLATES(extern, double)
 
 }  // namespace tqr::la

@@ -161,4 +161,13 @@ double verify_tolerance(index_t n, double c = 250.0) {
   return residual_tolerance<T>(n, c);
 }
 
+// Compiled once, in la/instantiations.cpp (see TQR_LA_BLAS_TEMPLATES).
+#define TQR_LA_CHECK_TEMPLATES(EXTERN, T)                                \
+  EXTERN template double orthogonality_residual<T>(ConstMatrixView<T>);  \
+  EXTERN template double reconstruction_residual<T>(                     \
+      ConstMatrixView<T>, ConstMatrixView<T>, ConstMatrixView<T>);
+
+TQR_LA_CHECK_TEMPLATES(extern, float)
+TQR_LA_CHECK_TEMPLATES(extern, double)
+
 }  // namespace tqr::la

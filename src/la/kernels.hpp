@@ -23,19 +23,20 @@
 // nothing below B's triangle is ever read or written.
 //
 // One T contract (PLASMA's `ib`, Buttari et al.): every factor kernel works
-// in ib-wide column panels. Each panel runs the unblocked leaf, then one
-// single-block compact-WY apply updates the trailing columns. Tf keeps only
-// the panels' ib x ib diagonal blocks and is zero everywhere else:
+// in ib-wide column panels. Each panel runs a leaf (geqrt_unblocked for
+// geqrt; for tpqrt the recursive detail::tpqrt_leaf, whose base case is
+// tpqrt_unblocked), then one single-block compact-WY apply updates the
+// trailing columns. Tf keeps only the panels' ib x ib diagonal blocks and is
+// zero everywhere else:
 //
 //   Q = Q_0 Q_1 ... Q_{p-1},   Q_j = I - V_j Tf_jj V_j^T.
 //
 // unmqr and tpmqrt apply those blocks in turn (ascending for Q^T, descending
-// for Q) through one reused W workspace, so they take the `ib` the tile was
+// for Q) through a per-thread W workspace, so they take the `ib` the tile was
 // factored with as a required argument. `ib <= 0` selects kPanelBase;
-// `ib >= b` is a single block, i.e. the full Tf of the unblocked reference
-// kernels (geqrt_unblocked, tpqrt_unblocked), which are also the panel
-// leaves. A full Tf may be applied with any `ib`: its diagonal blocks are
-// exactly the panel factors.
+// `ib >= b` is a single block, i.e. the full Tf the unblocked reference
+// kernels (geqrt_unblocked, tpqrt_unblocked) build. A full Tf may be applied
+// with any `ib`: its diagonal blocks are exactly the panel factors.
 //
 // Numerical contract (asserted by the test suite): for random tiles,
 // reconstruction and orthogonality residuals are O(eps * n), also for tiles
@@ -54,8 +55,9 @@ namespace tqr::la {
 
 /// Default inner block width `ib` (used when callers pass ib <= 0): the
 /// panel width of geqrt/tpqrt, hence the Tf block width their applies walk.
-/// The leaves run SIMD column dots/axpys; the trailing updates between
-/// panels run on the packed gemm/trmm engine. Swept on avx512f
+/// geqrt's leaf runs SIMD column dots/axpys, tpqrt's splits in halves down
+/// to kLeafBase columns of them; the trailing updates between panels run
+/// on the packed gemm/trmm engine. Swept on avx512f
 /// (EXPERIMENTS.md, "Inner-blocked T"): 32 beats 64 for geqrt and TS tpqrt at
 /// tiles 64-256, and 16 drops unmqr onto its fused small path (kWyFusedMax),
 /// which runs about 2.5x slower.
@@ -70,12 +72,21 @@ namespace detail {
 /// scaled back at the end.
 template <typename T>
 T larfg(T& alpha, MatrixView<T> x, T& beta) {
-  T xnorm = nrm2<T>(x);
-  if (xnorm == T(0)) {
-    beta = alpha;
-    return T(0);
+  // Fast path: one vectorized sum of squares gives ||[alpha; x]|| directly
+  // while it stays in the normal range; anything else takes the scaled
+  // nrm2 and hypot below.
+  const T ssq = mk::dot<T>(x.rows, x.data, x.data);
+  const T norm2 = alpha * alpha + ssq;
+  if (ssq >= std::numeric_limits<T>::min() && std::isfinite(norm2)) {
+    beta = -std::copysign(std::sqrt(norm2), alpha);
+  } else {
+    const T xnorm = nrm2<T>(x);
+    if (xnorm == T(0)) {
+      beta = alpha;
+      return T(0);
+    }
+    beta = -std::copysign(std::hypot(alpha, xnorm), alpha);
   }
-  beta = -std::copysign(std::hypot(alpha, xnorm), alpha);
   const T safmin = std::numeric_limits<T>::min() /
                    (std::numeric_limits<T>::epsilon() / T(2));
   int knt = 0;
@@ -87,8 +98,7 @@ T larfg(T& alpha, MatrixView<T> x, T& beta) {
       beta *= rsafmn;
       alpha *= rsafmn;
     } while (std::abs(beta) < safmin && knt < 20);
-    xnorm = nrm2<T>(x);
-    beta = -std::copysign(std::hypot(alpha, xnorm), alpha);
+    beta = -std::copysign(std::hypot(alpha, nrm2<T>(x)), alpha);
   }
   const T tau = (beta - alpha) / beta;
   const T scale = T(1) / (alpha - beta);
@@ -115,6 +125,21 @@ void scaled_triu_matvec(MatrixView<T> t, index_t k, const T* z, T scale) {
 /// The Tf block width for a caller-supplied `ib` over k reflectors.
 inline index_t inner_block_width(index_t ib, index_t k) {
   return std::min(ib <= 0 ? kPanelBase : ib, k);
+}
+
+/// Columns of C one pass of the compact-WY applies covers. Columns of C are
+/// transformed independently, so wider C is walked in chunks of this many
+/// columns and the workspace stays bounded by the tile sizes in use.
+inline constexpr index_t kApplyColumns = 256;
+
+/// Per-thread workspace of the compact-WY applies (W and op(Tf) W), grown to
+/// the largest request seen on the thread and never shrunk, like the packed
+/// engine's buffers. The applies never nest, so one buffer serves them all.
+template <typename T>
+T* apply_workspace(std::size_t n) {
+  thread_local AlignedVector<T> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
 }
 
 /// Start column of the q-th of `blocks` nb-wide reflector blocks to apply:
@@ -184,9 +209,9 @@ inline constexpr index_t kWyFusedMax = 16;
 /// the triangular parts as trmm, instead of branchy element loops:
 ///   W  = V1^T C1        (unit-lower trmm, out of place)
 ///   W += V2^T C2        (gemm)
-///   W  = op(Tf) W       (upper trmm)
-///   C1 -= V1 W          (unit-lower trmm accumulating into C1)
-///   C2 -= V2 W          (gemm)
+///   TW = op(Tf) W       (upper trmm, out of place)
+///   C1 -= V1 TW         (unit-lower trmm accumulating into C1)
+///   C2 -= V2 TW         (gemm)
 /// trmm only reads the stored triangle, so the R factor above V's diagonal is
 /// never touched.
 template <typename T>
@@ -198,57 +223,64 @@ void unmqr(ConstMatrixView<T> v, ConstMatrixView<T> t, MatrixView<T> c,
   const index_t nb = detail::inner_block_width(ib, k);
   const index_t blocks = k == 0 ? 0 : (k + nb - 1) / nb;
   const Trans op_t = trans == Trans::kNoTrans ? Trans::kNoTrans : Trans::kTrans;
-  Matrix<T> w_buf(nb, n);
 
-  for (index_t q = 0; q < blocks; ++q) {
-    const index_t s = detail::block_start(q, blocks, nb, trans);
-    const index_t kb = std::min(nb, k - s), mb = m - s;
-    const auto vb = v.block(s, s, mb, kb);
-    const auto tb = t.block(s, s, kb, kb);
-    auto cb = c.block(s, 0, mb, n);
-    auto w = w_buf.block(0, 0, kb, n);
+  for (index_t j0 = 0; j0 < n; j0 += detail::kApplyColumns) {
+    const index_t nj = std::min(detail::kApplyColumns, n - j0);
+    T* const ws = detail::apply_workspace<T>(2 * static_cast<std::size_t>(nb) *
+                                             static_cast<std::size_t>(nj));
+    for (index_t q = 0; q < blocks; ++q) {
+      const index_t s = detail::block_start(q, blocks, nb, trans);
+      const index_t kb = std::min(nb, k - s), mb = m - s;
+      const auto vb = v.block(s, s, mb, kb);
+      const auto tb = t.block(s, s, kb, kb);
+      auto cb = c.block(s, j0, mb, nj);
+      const MatrixView<T> w{ws, kb, nj, kb};
 
-    if (kb <= kWyFusedMax) {
-      // Fused small path: W = V^T C with V unit lower trapezoidal (garbage
-      // above the diagonal of the stored tile must be ignored).
-      for (index_t j = 0; j < n; ++j)
-        for (index_t p = 0; p < kb; ++p)
-          w(p, j) = cb(p, j) +
-                    mk::dot<T>(mb - p - 1, vb.data + (p + 1) + p * vb.ld,
-                               cb.data + (p + 1) + j * cb.ld);
-      trmm_left<T>(UpLo::kUpper, op_t, Diag::kNonUnit, tb, w);
-      for (index_t j = 0; j < n; ++j)
-        for (index_t p = 0; p < kb; ++p) {
-          const T wpj = w(p, j);
-          if (wpj == T(0)) continue;
-          cb(p, j) -= wpj;
-          mk::axpy<T>(mb - p - 1, -wpj, vb.data + (p + 1) + p * vb.ld,
-                      cb.data + (p + 1) + j * cb.ld);
-        }
-      continue;
+      if (kb <= kWyFusedMax) {
+        // Fused small path: W = V^T C with V unit lower trapezoidal (garbage
+        // above the diagonal of the stored tile must be ignored).
+        for (index_t j = 0; j < nj; ++j)
+          for (index_t p = 0; p < kb; ++p)
+            w(p, j) = cb(p, j) +
+                      mk::dot<T>(mb - p - 1, vb.data + (p + 1) + p * vb.ld,
+                                 cb.data + (p + 1) + j * cb.ld);
+        trmm_left<T>(UpLo::kUpper, op_t, Diag::kNonUnit, tb, w);
+        for (index_t j = 0; j < nj; ++j)
+          for (index_t p = 0; p < kb; ++p) {
+            const T wpj = w(p, j);
+            if (wpj == T(0)) continue;
+            cb(p, j) -= wpj;
+            mk::axpy<T>(mb - p - 1, -wpj, vb.data + (p + 1) + p * vb.ld,
+                        cb.data + (p + 1) + j * cb.ld);
+          }
+        continue;
+      }
+
+      const auto v1 = vb.block(0, 0, kb, kb);
+      auto c1 = cb.block(0, 0, kb, nj);
+      const MatrixView<T> tw{ws + static_cast<std::size_t>(kb) * nj, kb, nj,
+                             kb};
+
+      // W = V1^T C1 + V2^T C2.
+      trmm_left<T>(UpLo::kLower, Trans::kTrans, Diag::kUnit, T(1), v1, c1,
+                   T(0), w);
+      if (mb > kb)
+        gemm<T>(Trans::kTrans, Trans::kNoTrans, T(1),
+                vb.block(kb, 0, mb - kb, kb), cb.block(kb, 0, mb - kb, nj),
+                T(1), w);
+
+      // TW = op(Tf) W, out of place so the engine reads W where it lies. Q
+      // uses Tf, Q^T uses Tf^T.
+      trmm_left<T>(UpLo::kUpper, op_t, Diag::kNonUnit, T(1), tb, w, T(0), tw);
+
+      // C1 -= V1 TW, C2 -= V2 TW.
+      trmm_left<T>(UpLo::kLower, Trans::kNoTrans, Diag::kUnit, T(-1), v1, tw,
+                   T(1), c1);
+      if (mb > kb)
+        gemm<T>(Trans::kNoTrans, Trans::kNoTrans, T(-1),
+                vb.block(kb, 0, mb - kb, kb), tw, T(1),
+                cb.block(kb, 0, mb - kb, nj));
     }
-
-    const auto v1 = vb.block(0, 0, kb, kb);
-    auto c1 = cb.block(0, 0, kb, n);
-
-    // W = V1^T C1 + V2^T C2.
-    trmm_left<T>(UpLo::kLower, Trans::kTrans, Diag::kUnit, T(1), v1, c1, T(0),
-                 w);
-    if (mb > kb)
-      gemm<T>(Trans::kTrans, Trans::kNoTrans, T(1),
-              vb.block(kb, 0, mb - kb, kb), cb.block(kb, 0, mb - kb, n), T(1),
-              w);
-
-    // W = op(Tf) W. Q uses Tf, Q^T uses Tf^T.
-    trmm_left<T>(UpLo::kUpper, op_t, Diag::kNonUnit, tb, w);
-
-    // C1 -= V1 W, C2 -= V2 W.
-    trmm_left<T>(UpLo::kLower, Trans::kNoTrans, Diag::kUnit, T(-1), v1, w,
-                 T(1), c1);
-    if (mb > kb)
-      gemm<T>(Trans::kNoTrans, Trans::kNoTrans, T(-1),
-              vb.block(kb, 0, mb - kb, kb), w, T(1),
-              cb.block(kb, 0, mb - kb, n));
   }
 }
 
@@ -275,12 +307,13 @@ inline index_t tp_rows(index_t m2, index_t n, index_t l, index_t k) {
 }  // namespace detail
 
 /// Unblocked pentagonal QR of [R1; B] (LAPACK tpqrt2): the scalar reference
-/// kernel and the panel leaf. R1 (n x n) is upper triangular; B (m2 x n) is
-/// dense when l == 0 and has its bottom l == n rows upper triangular
-/// otherwise. On exit R1 holds the new R (only its upper triangle is read or
-/// written, so the V of a geqrt-factored diagonal tile survives underneath),
-/// B the reflector block V2 in the same shape (entries below its triangle
-/// are never read or written) and `t` the full block reflector factor.
+/// kernel and the base case of the recursive panel leaf. R1 (n x n) is
+/// upper triangular; B (m2 x n) is dense when l == 0 and has its bottom
+/// l == n rows upper triangular otherwise. On exit R1 holds the new R (only
+/// its upper triangle is read or written, so the V of a geqrt-factored
+/// diagonal tile survives underneath), B the reflector block V2 in the same
+/// shape (entries below its triangle are never read or written) and `t` the
+/// full block reflector factor.
 template <typename T>
 void tpqrt_unblocked(MatrixView<T> r1, MatrixView<T> b, MatrixView<T> t,
                      index_t l) {
@@ -323,8 +356,8 @@ void tpqrt_unblocked(MatrixView<T> r1, MatrixView<T> b, MatrixView<T> t,
 /// the rows of C2 its V2 block spans: a dense top D (all m2 rows when
 /// l == 0) over a kb x kb upper triangle U (when l == k). Per block:
 ///   W  = C1 + D^T C2d + U^T C2u   (copy, gemm, accumulating trmm)
-///   W  = op(Tf) W                 (upper trmm)
-///   C1 -= W,  C2d -= D W,  C2u -= U W
+///   TW = op(Tf) W                 (upper trmm, out of place)
+///   C1 -= TW,  C2d -= D TW,  C2u -= U TW
 /// so V2's entries below U's diagonal are never read.
 template <typename T>
 void tpmqrt(ConstMatrixView<T> v2, ConstMatrixView<T> t, MatrixView<T> c1,
@@ -338,36 +371,47 @@ void tpmqrt(ConstMatrixView<T> v2, ConstMatrixView<T> t, MatrixView<T> c1,
   const index_t nb = detail::inner_block_width(ib, k);
   const index_t blocks = k == 0 ? 0 : (k + nb - 1) / nb;
   const Trans op_t = trans == Trans::kNoTrans ? Trans::kNoTrans : Trans::kTrans;
-  Matrix<T> w_buf(nb, n);
 
-  for (index_t q = 0; q < blocks; ++q) {
-    const index_t s = detail::block_start(q, blocks, nb, trans);
-    const index_t kb = std::min(nb, k - s);
-    const index_t md = l == 0 ? m2 : m2 - k + s;  // D's rows
-    const auto d = v2.block(0, s, md, kb);
-    auto c2d = c2.block(0, 0, md, n);
-    auto c1b = c1.block(s, 0, kb, n);
-    auto w = w_buf.block(0, 0, kb, n);
+  for (index_t j0 = 0; j0 < n; j0 += detail::kApplyColumns) {
+    const index_t nj = std::min(detail::kApplyColumns, n - j0);
+    T* const ws = detail::apply_workspace<T>(2 * static_cast<std::size_t>(nb) *
+                                             static_cast<std::size_t>(nj));
+    for (index_t q = 0; q < blocks; ++q) {
+      const index_t s = detail::block_start(q, blocks, nb, trans);
+      const index_t kb = std::min(nb, k - s);
+      const index_t md = l == 0 ? m2 : m2 - k + s;  // D's rows
+      const auto d = v2.block(0, s, md, kb);
+      auto c2d = c2.block(0, j0, md, nj);
+      auto c1b = c1.block(s, j0, kb, nj);
+      const MatrixView<T> w{ws, kb, nj, kb};
+      const MatrixView<T> tw{ws + static_cast<std::size_t>(kb) * nj, kb, nj,
+                             kb};
 
-    // W = C1 + D^T C2d + U^T C2u.
-    copy<T>(c1b, w);
-    if (md > 0)
-      gemm<T>(Trans::kTrans, Trans::kNoTrans, T(1), d, c2d, T(1), w);
-    if (l > 0)
-      trmm_left<T>(UpLo::kUpper, Trans::kTrans, Diag::kNonUnit, T(1),
-                   v2.block(md, s, kb, kb), c2.block(md, 0, kb, n), T(1), w);
+      // W = C1 + D^T C2d + U^T C2u.
+      copy<T>(c1b, w);
+      if (md > 0)
+        gemm<T>(Trans::kTrans, Trans::kNoTrans, T(1), d, c2d, T(1), w);
+      if (l > 0)
+        trmm_left<T>(UpLo::kUpper, Trans::kTrans, Diag::kNonUnit, T(1),
+                     v2.block(md, s, kb, kb), c2.block(md, j0, kb, nj), T(1),
+                     w);
 
-    // W = op(Tf) W. Q uses Tf, Q^T uses Tf^T.
-    trmm_left<T>(UpLo::kUpper, op_t, Diag::kNonUnit, t.block(s, s, kb, kb), w);
+      // TW = op(Tf) W, out of place so the engine reads W where it lies. Q
+      // uses Tf, Q^T uses Tf^T.
+      trmm_left<T>(UpLo::kUpper, op_t, Diag::kNonUnit, T(1),
+                   t.block(s, s, kb, kb), w, T(0), tw);
 
-    // [C1; C2] -= [I; V2] W over the block's support.
-    for (index_t j = 0; j < n; ++j)
-      for (index_t i = 0; i < kb; ++i) c1b(i, j) -= w(i, j);
-    if (md > 0)
-      gemm<T>(Trans::kNoTrans, Trans::kNoTrans, T(-1), d, w, T(1), c2d);
-    if (l > 0)
-      trmm_left<T>(UpLo::kUpper, Trans::kNoTrans, Diag::kNonUnit, T(-1),
-                   v2.block(md, s, kb, kb), w, T(1), c2.block(md, 0, kb, n));
+      // [C1; C2] -= [I; V2] TW over the block's support.
+      for (index_t j = 0; j < nj; ++j)
+        mk::axpy<T>(kb, T(-1), tw.data + static_cast<std::size_t>(j) * kb,
+                    c1b.data + static_cast<std::size_t>(j) * c1b.ld);
+      if (md > 0)
+        gemm<T>(Trans::kNoTrans, Trans::kNoTrans, T(-1), d, tw, T(1), c2d);
+      if (l > 0)
+        trmm_left<T>(UpLo::kUpper, Trans::kNoTrans, Diag::kNonUnit, T(-1),
+                     v2.block(md, s, kb, kb), tw, T(1),
+                     c2.block(md, j0, kb, nj));
+    }
   }
 }
 
@@ -394,8 +438,76 @@ void geqrt(MatrixView<T> a, MatrixView<T> t, index_t ib = 0) {
   }
 }
 
+namespace detail {
+
+/// Panel width at or below which the recursive tpqrt leaf runs the column
+/// loop of tpqrt_unblocked.
+inline constexpr index_t kLeafBase = 16;
+
+/// X = alpha * X * U in place, with U (n x n) upper triangular and X k x n.
+/// Column j of the product reads X's columns p <= j only, so the columns are
+/// formed right to left.
+template <typename T>
+void triu_right_multiply(MatrixView<T> x, ConstMatrixView<T> u, T alpha) {
+  for (index_t j = x.cols - 1; j >= 0; --j) {
+    T* xj = x.data + static_cast<std::size_t>(j) * x.ld;
+    const T d = alpha * u(j, j);
+    for (index_t i = 0; i < x.rows; ++i) xj[i] *= d;
+    for (index_t p = 0; p < j; ++p)
+      mk::axpy<T>(x.rows, alpha * u(p, j),
+                  x.data + static_cast<std::size_t>(p) * x.ld, xj);
+  }
+}
+
+/// The tpqrt panel leaf: pentagonal QR of [R1; B] with tpqrt_unblocked's
+/// storage contract (full n x n T), recursive in the style of LAPACK
+/// dgeqrt3 (Elmroth-Gustavson). The panel splits into halves down to
+/// kLeafBase columns: the left half is factored, its Q^T is applied to the
+/// right half through tpmqrt, the right half is factored, and T's
+/// off-diagonal block is formed as T12 = -T11 (V1^T V2) T22. The identity
+/// tops of V1 and V2 are orthogonal, so V1^T V2 is B1^T B2 over the left
+/// half's rows, which turns the per-column T dots and trailing rank-1
+/// updates of the column loop into gemm and trmm. With l == n each half is
+/// itself a pentagon, as in tpqrt's panel loop.
+template <typename T>
+void tpqrt_leaf(MatrixView<T> r1, MatrixView<T> b, MatrixView<T> t,
+                index_t l) {
+  const index_t n = r1.cols, m2 = b.rows;
+  if (n <= kLeafBase) {
+    tpqrt_unblocked<T>(r1, b, t, l);
+    return;
+  }
+  const index_t n1 = n / 2, n2 = n - n1;
+  const index_t l1 = l == 0 ? 0 : n1, l2 = l == 0 ? 0 : n2;
+  const index_t m1 = l == 0 ? m2 : m2 - n2;  // rows of the left half
+  const index_t md = m1 - l1;                 // its dense rows
+  const auto v1 = b.block(0, 0, m1, n1);
+  const auto t11 = t.block(0, 0, n1, n1), t22 = t.block(n1, n1, n2, n2);
+  auto t12 = t.block(0, n1, n1, n2);
+
+  tpqrt_leaf<T>(r1.block(0, 0, n1, n1), v1, t11, l1);
+  tpmqrt<T>(v1, t11, r1.block(0, n1, n1, n2), b.block(0, n1, m1, n2), l1,
+            Trans::kTrans, n1);
+  tpqrt_leaf<T>(r1.block(n1, n1, n2, n2), b.block(0, n1, m2, n2), t22, l2);
+
+  // T12 = V1^T V2 = D1^T B2d + U1^T B2u, then -T11 T12 T22.
+  if (md > 0)
+    gemm<T>(Trans::kTrans, Trans::kNoTrans, T(1), b.block(0, 0, md, n1),
+            b.block(0, n1, md, n2), T(0), t12);
+  else
+    t12.fill(T(0));
+  if (l1 > 0)
+    trmm_left<T>(UpLo::kUpper, Trans::kTrans, Diag::kNonUnit, T(1),
+                 b.block(md, 0, n1, n1), b.block(md, n1, n1, n2), T(1), t12);
+  trmm_left<T>(UpLo::kUpper, Trans::kNoTrans, Diag::kNonUnit, t11, t12);
+  triu_right_multiply<T>(t12, t22, T(-1));
+  t.block(n1, 0, n2, n1).fill(T(0));
+}
+
+}  // namespace detail
+
 /// Pentagonal QR of [R1; B] in `ib`-wide panels (<= 0 selects kPanelBase,
-/// >= n runs one panel, i.e. the unblocked reference). Storage contract
+/// >= n runs one panel) through the recursive leaf. Storage contract
 /// matches tpqrt_unblocked, except that `t` holds only the panels' ib x ib
 /// diagonal blocks and zeros elsewhere. With l == n each panel [s, s+kb) is
 /// itself a pentagon (B's dense rows above its kb x kb diagonal triangle,
@@ -413,13 +525,31 @@ void tpqrt(MatrixView<T> r1, MatrixView<T> b, MatrixView<T> t, index_t l,
     const index_t lb = l == 0 ? 0 : kb;
     const index_t mb = l == 0 ? m2 : m2 - n + s + kb;
     auto panel = b.block(0, s, mb, kb);
-    tpqrt_unblocked<T>(r1.block(s, s, kb, kb), panel, t.block(s, s, kb, kb),
-                       lb);
+    detail::tpqrt_leaf<T>(r1.block(s, s, kb, kb), panel,
+                          t.block(s, s, kb, kb), lb);
     if (s + kb < n)
       tpmqrt<T>(panel, t.block(s, s, kb, kb),
                 r1.block(s, s + kb, kb, n - s - kb),
                 b.block(0, s + kb, mb, n - s - kb), lb, Trans::kTrans, kb);
   }
 }
+
+// Compiled once, in la/instantiations.cpp, for float and double (see
+// TQR_LA_BLAS_TEMPLATES): fp32 R is the same bits from every caller.
+#define TQR_LA_KERNEL_TEMPLATES(EXTERN, T)                                  \
+  EXTERN template void geqrt<T>(MatrixView<T>, MatrixView<T>, index_t);     \
+  EXTERN template void geqrt_unblocked<T>(MatrixView<T>, MatrixView<T>);    \
+  EXTERN template void unmqr<T>(ConstMatrixView<T>, ConstMatrixView<T>,     \
+                                MatrixView<T>, Trans, index_t);             \
+  EXTERN template void tpqrt<T>(MatrixView<T>, MatrixView<T>, MatrixView<T>,\
+                                index_t, index_t);                          \
+  EXTERN template void tpqrt_unblocked<T>(MatrixView<T>, MatrixView<T>,     \
+                                          MatrixView<T>, index_t);          \
+  EXTERN template void tpmqrt<T>(ConstMatrixView<T>, ConstMatrixView<T>,    \
+                                 MatrixView<T>, MatrixView<T>, index_t,     \
+                                 Trans, index_t);
+
+TQR_LA_KERNEL_TEMPLATES(extern, float)
+TQR_LA_KERNEL_TEMPLATES(extern, double)
 
 }  // namespace tqr::la

@@ -10,12 +10,15 @@
 //   1. Cache blocking: C is computed in MC x NC panels over KC-deep slices of
 //      the inner dimension, so the packed A panel (MC x KC) lives in L2 and
 //      the packed B micro-panel (KC x NR) lives in L1 while they are reused.
-//   2. Packing: op(A)/op(B) sub-panels are copied once into contiguous,
+//   2. Packing: op(A) sub-panels are copied once into contiguous,
 //      64-byte-aligned buffers laid out exactly in the order the inner kernel
-//      reads them (MR-row / NR-column interleaved), turning every inner-loop
-//      access into an aligned unit-stride load and absorbing both transpose
-//      cases and the alpha scaling. Ragged fringes are zero-padded so the
-//      micro-kernel never branches on shape.
+//      reads them (MR-row interleaved), turning every inner-loop access into
+//      an aligned unit-stride load and absorbing the transpose and the alpha
+//      scaling. A non-transposed B already holds each NR-column panel as NR
+//      contiguous columns, so its full panels are read where they lie; a
+//      transposed B and a ragged last panel are packed NR-column interleaved
+//      and zero-padded, so the micro-kernel never branches on shape. Full
+//      MR x NR blocks of C are stored straight from the registers.
 //   3. Register tiling: an MR x NR block of C is held entirely in vector
 //      registers across the KC loop — each A/B element loaded from L1/L2 is
 //      used NR/MR times, which is what moves the kernel from memory-bound to
@@ -24,8 +27,9 @@
 // The same pipeline runs the triangular multiply (trmm_packed, behind
 // la::trmm_left): the triangle is packed once into the
 // micro-kernel's panel format with explicit zeros, each panel runs only over
-// its nonzero k-span, and the multiplied operand is packed before its C block
-// is written, so in-place and accumulating products both work.
+// its nonzero k-span, and the multiplied operand is read in place, or, for
+// an in-place product, packed before its C block is written, so in-place
+// and accumulating products both work.
 //
 // The micro-kernel itself is portable: with GCC/Clang vector extensions it
 // compiles to whatever the target ISA offers (SSE2/AVX/AVX-512 chosen at
@@ -74,9 +78,11 @@ inline constexpr int kVecBytes = static_cast<int>(sizeof(double));
 /// Compile-time register-tile shape per scalar type. MR spans the vector
 /// direction (rows, unit stride in column-major C) and covers two vector
 /// registers so the kernel carries 2*NR independent FMA chains — enough to
-/// hide FMA latency on two issue ports; with NR = 6 that is 12 accumulators
-/// plus 2 A vectors and a B broadcast, fitting both the 16-register AVX2
-/// file and the 32-register AVX-512 file.
+/// hide FMA latency on two issue ports. NR = 6 gives 12 accumulators plus 2
+/// A vectors and a B broadcast, which fits the 16-register AVX2 file; the
+/// 32-register AVX-512 file takes NR = 8 (16 accumulators), which also
+/// divides the 16-, 32- and 128-wide operands of the tile kernels into whole
+/// panels. NR does not change any element's summation order.
 template <typename T>
 struct RegisterBlocking {
   static constexpr int mr = 4;
@@ -87,14 +93,14 @@ struct RegisterBlocking<double> {
   static constexpr int lanes =
       detail::kVecBytes / static_cast<int>(sizeof(double));
   static constexpr int mr = lanes > 1 ? 2 * lanes : 8;
-  static constexpr int nr = 6;
+  static constexpr int nr = detail::kVecBytes >= 64 ? 8 : 6;
 };
 template <>
 struct RegisterBlocking<float> {
   static constexpr int lanes =
       detail::kVecBytes / static_cast<int>(sizeof(float));
   static constexpr int mr = lanes > 1 ? 2 * lanes : 8;
-  static constexpr int nr = 6;
+  static constexpr int nr = detail::kVecBytes >= 64 ? 8 : 6;
 };
 
 /// Cache-level blocking, runtime-adjustable (tests shrink kc to make
@@ -139,48 +145,84 @@ struct VecOf {
   static constexpr int lanes = kVecBytes / static_cast<int>(sizeof(T));
   typedef T type __attribute__((vector_size(kVecBytes), may_alias));
 };
+
+/// Element-aligned variant of VecOf: loads through it compile to unaligned
+/// vector moves, so it can read from any offset inside a column (matrix
+/// columns are only guaranteed element-aligned once a view offsets into
+/// them).
+template <typename T>
+struct UnalignedVecOf {
+  static constexpr index_t lanes = kVecBytes / static_cast<index_t>(sizeof(T));
+  typedef T type __attribute__((vector_size(kVecBytes), may_alias,
+                                aligned(alignof(T))));
+};
 #endif  // TQR_MK_VECTORIZED
 
-/// Inner kernel: acc(MR x NR, column-major, leading dimension MR) =
-/// Ap * Bp over a KC-deep packed slice. Ap is an MR-row interleaved panel
-/// (element (i, p) at p*MR + i), Bp an NR-column interleaved panel
-/// (element (p, j) at p*NR + j); both are zero-padded to full MR/NR, so the
-/// kernel is branch-free. acc must be kMatrixAlignment-aligned.
-template <typename T>
+/// Inner kernel: C(MR x NR) = Ap * B over a KC-deep slice, stored with the
+/// k-slice beta rule (beta == 0 never reads C, beta == 1 accumulates). Ap is
+/// an MR-row interleaved panel (element (i, p) at p*MR + i), zero-padded to
+/// full MR. B is either an NR-column interleaved packed panel (element
+/// (p, j) at p*NR + j) or, with kInPlaceB, NR columns of a column-major
+/// matrix read where they lie (element (p, j) at j*ldb + p). Both feed the
+/// same FMA sequence, so they give bitwise equal results. C is column-major
+/// with leading dimension ldc and needs only element alignment.
+template <typename T, bool kInPlaceB>
 inline void micro_kernel(index_t kc, const T* __restrict ap,
-                         const T* __restrict bp, T* __restrict acc) {
+                         const T* __restrict b, index_t ldb, T* __restrict c,
+                         index_t ldc, T beta) {
   constexpr int MR = RegisterBlocking<T>::mr;
   constexpr int NR = RegisterBlocking<T>::nr;
+  auto b_at = [&](index_t p, int j) {
+    return kInPlaceB ? b[j * static_cast<std::size_t>(ldb) + p] : b[p * NR + j];
+  };
 #if TQR_MK_VECTORIZED
   using V = typename VecOf<T>::type;
+  using U = typename UnalignedVecOf<T>::type;
   constexpr int L = VecOf<T>::lanes;
   if constexpr (std::is_floating_point_v<T> && MR % L == 0 &&
                 (MR * sizeof(T)) % kVecBytes == 0) {
     constexpr int MV = MR / L;
-    V c[MV][NR]{};
+    V acc[MV][NR]{};
 #pragma GCC unroll 4
     for (index_t p = 0; p < kc; ++p) {
       V av[MV];
       for (int u = 0; u < MV; ++u)
         av[u] = *reinterpret_cast<const V*>(ap + p * MR + u * L);
       for (int j = 0; j < NR; ++j) {
-        const T bs = bp[p * NR + j];
-        for (int u = 0; u < MV; ++u) c[u][j] += av[u] * bs;
+        const T bs = b_at(p, j);
+        for (int u = 0; u < MV; ++u) acc[u][j] += av[u] * bs;
       }
     }
     for (int j = 0; j < NR; ++j)
-      for (int u = 0; u < MV; ++u)
-        *reinterpret_cast<V*>(acc + j * MR + u * L) = c[u][j];
+      for (int u = 0; u < MV; ++u) {
+        U* dst = reinterpret_cast<U*>(c + j * static_cast<std::size_t>(ldc) +
+                                      u * L);
+        if (beta == T(0))
+          *dst = acc[u][j];
+        else if (beta == T(1))
+          *dst += acc[u][j];
+        else
+          *dst = beta * *dst + acc[u][j];
+      }
     return;
   }
 #endif  // TQR_MK_VECTORIZED
-  T c[MR * NR]{};
+  T acc[MR * NR]{};
   for (index_t p = 0; p < kc; ++p)
     for (int j = 0; j < NR; ++j) {
-      const T bs = bp[p * NR + j];
-      for (int i = 0; i < MR; ++i) c[j * MR + i] += ap[p * MR + i] * bs;
+      const T bs = b_at(p, j);
+      for (int i = 0; i < MR; ++i) acc[j * MR + i] += ap[p * MR + i] * bs;
     }
-  for (int x = 0; x < MR * NR; ++x) acc[x] = c[x];
+  for (int j = 0; j < NR; ++j)
+    for (int i = 0; i < MR; ++i) {
+      T& dst = c[j * static_cast<std::size_t>(ldc) + i];
+      if (beta == T(0))
+        dst = acc[j * MR + i];
+      else if (beta == T(1))
+        dst += acc[j * MR + i];
+      else
+        dst = beta * dst + acc[j * MR + i];
+    }
 }
 
 /// Packs op(A)(ic:ic+mc, pc:pc+kc) into MR-row interleaved panels, folding in
@@ -263,6 +305,37 @@ inline void write_back(const T* __restrict acc, T* __restrict c, index_t ldc,
         c[j * static_cast<std::size_t>(ldc) + i] =
             beta * c[j * static_cast<std::size_t>(ldc) + i] + acc[j * MR + i];
   }
+}
+
+/// One MR x NR block of C over a KC-deep slice: a full block is stored
+/// straight from the registers, a ragged fringe block goes through an
+/// aligned MR x NR temporary and write_back.
+template <typename T, bool kInPlaceB>
+inline void block_kernel(index_t kc, const T* ap, const T* b, index_t ldb,
+                         T* c, index_t ldc, index_t mr_eff, index_t nr_eff,
+                         T beta) {
+  constexpr int MR = RegisterBlocking<T>::mr;
+  constexpr int NR = RegisterBlocking<T>::nr;
+  if (mr_eff == MR && nr_eff == NR) {
+    micro_kernel<T, kInPlaceB>(kc, ap, b, ldb, c, ldc, beta);
+    return;
+  }
+  alignas(kMatrixAlignment) T acc[MR * NR];
+  micro_kernel<T, kInPlaceB>(kc, ap, b, ldb, acc, MR, T(0));
+  write_back<T>(acc, c, ldc, mr_eff, nr_eff, beta);
+}
+
+/// The MR-row blocks of one NR-column panel of C over a KC-deep slice:
+/// Ap holds mc packed rows of op(A), B the panel's slice (packed, or read in
+/// place with kInPlaceB).
+template <typename T, bool kInPlaceB>
+void column_panel(index_t kc, index_t mc, const T* ap, const T* b,
+                  index_t ldb, T* c, index_t ldc, index_t nr_eff, T beta) {
+  constexpr int MR = RegisterBlocking<T>::mr;
+  for (index_t ir = 0; ir < mc; ir += MR)
+    block_kernel<T, kInPlaceB>(kc, ap + static_cast<std::size_t>(ir) * kc, b,
+                               ldb, c + ir, ldc, std::min<index_t>(MR, mc - ir),
+                               nr_eff, beta);
 }
 
 /// Per-thread packing buffers: each DAG-executor worker drives its own tile
@@ -355,12 +428,31 @@ void pack_tri(T* __restrict dst, ConstMatrixView<T> a, bool lower,
   }
 }
 
+/// The MR-row panels of one NR-column panel of C = op(A) * B with op(A)
+/// packed by pack_tri (MR-row panels, each over its tri_span only) and B the
+/// panel's m rows (packed, or read in place with kInPlaceB).
+template <typename T, bool kInPlaceB>
+void tri_column_panel(index_t m, bool lower, const T* ap, const T* b,
+                      index_t ldb, T* c, index_t ldc, index_t nr_eff,
+                      T beta) {
+  constexpr int MR = RegisterBlocking<T>::mr;
+  constexpr int NR = RegisterBlocking<T>::nr;
+  for (index_t ir = 0; ir < m; ir += MR) {
+    const auto [lo, hi] = tri_span(lower, ir, MR, m);
+    block_kernel<T, kInPlaceB>(hi - lo, ap, b + lo * (kInPlaceB ? 1 : NR), ldb,
+                               c + ir, ldc, std::min<index_t>(MR, m - ir),
+                               nr_eff, beta);
+    ap += (hi - lo) * MR;
+  }
+}
+
 }  // namespace detail
 
 /// C = alpha * op(A) * op(B) + beta * C through the packed register-tiled
 /// pipeline. Semantics match la::gemm exactly (including never reading C when
 /// beta == 0); summation order differs, so results agree with the loop-based
-/// path to O(k * eps), not bitwise.
+/// path to O(k * eps), not bitwise. A non-transposed B is read in place, so
+/// B must not overlap C.
 template <typename T>
 void gemm_packed(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
                  ConstMatrixView<T> b, T beta, MatrixView<T> c,
@@ -394,29 +486,37 @@ void gemm_packed(Trans ta, Trans tb, T alpha, ConstMatrixView<T> a,
   T* const bbuf = detail::pack_storage<T>(
       1, static_cast<std::size_t>(round_up(std::min(bs.nc, n), NR)) * bs.kc);
 
-  alignas(kMatrixAlignment) T acc[MR * NR];
+  // A non-transposed B is already column-major: its full NR-column panels
+  // feed the micro-kernel where they lie, and only a ragged last panel is
+  // packed (zero-padded). A transposed B is packed whole.
+  const bool in_place_b = (tb == Trans::kNoTrans);
   for (index_t jc = 0; jc < n; jc += bs.nc) {
     const index_t nc_eff = std::min(bs.nc, n - jc);
+    const index_t nc_in_place = in_place_b ? nc_eff / NR * NR : 0;
     for (index_t pc = 0; pc < k; pc += bs.kc) {
       const index_t kc_eff = std::min(bs.kc, k - pc);
-      detail::pack_b<T>(bbuf, b, tb, pc, jc, kc_eff, nc_eff);
+      if (nc_in_place < nc_eff)
+        detail::pack_b<T>(bbuf + static_cast<std::size_t>(nc_in_place) * kc_eff,
+                          b, tb, pc, jc + nc_in_place, kc_eff,
+                          nc_eff - nc_in_place);
       const T beta_eff = (pc == 0) ? beta : T(1);
       for (index_t ic = 0; ic < m; ic += bs.mc) {
         const index_t mc_eff = std::min(bs.mc, m - ic);
         detail::pack_a<T>(abuf, a, ta, alpha, ic, pc, mc_eff, kc_eff);
         for (index_t jr = 0; jr < nc_eff; jr += NR) {
           const index_t nr_eff = std::min<index_t>(NR, nc_eff - jr);
-          const T* bp = bbuf + static_cast<std::size_t>(jr) * kc_eff;
-          for (index_t ir = 0; ir < mc_eff; ir += MR) {
-            const index_t mr_eff = std::min<index_t>(MR, mc_eff - ir);
-            detail::micro_kernel<T>(
-                kc_eff, abuf + static_cast<std::size_t>(ir) * kc_eff,
-                bp, acc);
-            detail::write_back<T>(
-                acc,
-                c.data + static_cast<std::size_t>(jc + jr) * c.ld + (ic + ir),
-                c.ld, mr_eff, nr_eff, beta_eff);
-          }
+          T* const cj =
+              c.data + static_cast<std::size_t>(jc + jr) * c.ld + ic;
+          if (jr < nc_in_place)
+            detail::column_panel<T, true>(
+                kc_eff, mc_eff, abuf,
+                b.data + static_cast<std::size_t>(jc + jr) * b.ld + pc, b.ld,
+                cj, c.ld, nr_eff, beta_eff);
+          else
+            detail::column_panel<T, false>(
+                kc_eff, mc_eff, abuf,
+                bbuf + static_cast<std::size_t>(jr) * kc_eff, 0, cj, c.ld,
+                nr_eff, beta_eff);
         }
       }
     }
@@ -437,10 +537,11 @@ extern template void gemm_packed<double>(Trans, Trans, double,
 /// C = alpha * op(A) * B + beta * C with A (m x m) triangular, through the
 /// packed register-tiled pipeline. op(A)'s stored triangle is packed once
 /// with explicit zeros (pack_tri), and each row panel of op(A) runs only over
-/// its nonzero k-span, so all-zero micro-panels are skipped. B is packed one
-/// column chunk at a time, before the C block it feeds is written. That
-/// makes b == c (the in-place trmm, beta == 0) safe; any other overlap of b
-/// and c is not. beta == 0 never reads C, and beta == 1 accumulates.
+/// its nonzero k-span, so all-zero micro-panels are skipped. Out of place,
+/// B's full column panels are read where they lie. In place (b == c, beta ==
+/// 0), B is packed one column chunk at a time, before the C block it feeds
+/// is written; any other overlap of b and c is unsafe. beta == 0 never reads
+/// C, and beta == 1 accumulates.
 ///
 /// The explicit zeros differ from the loop version in one way: inside a
 /// diagonal micro-block, an Inf or NaN in B reaches rows whose op(A) entry
@@ -460,31 +561,32 @@ void trmm_packed(UpLo uplo, Trans trans, Diag diag, T alpha,
   if (m == 0 || n == 0) return;
   const bool unit = (diag == Diag::kUnit);
   const bool op_lower = (uplo == UpLo::kLower) == (trans == Trans::kNoTrans);
-  alignas(kMatrixAlignment) T acc[MR * NR];
 
   T* const ap =
       detail::pack_storage<T>(0, detail::tri_packed_size(op_lower, MR, m));
   detail::pack_tri<T, MR>(ap, a, op_lower, trans, unit, alpha);
+  // Out of place, B's full NR-column panels feed the micro-kernel where they
+  // lie. In place (b == c), and for a ragged last panel, B is packed one
+  // column chunk at a time before the C block it feeds is written.
+  const index_t n_in_place = b.data != c.data ? n / NR * NR : 0;
+  for (index_t jr = 0; jr < n_in_place; jr += NR)
+    detail::tri_column_panel<T, true>(
+        m, op_lower, ap, b.data + static_cast<std::size_t>(jr) * b.ld, b.ld,
+        c.data + static_cast<std::size_t>(jr) * c.ld, c.ld, NR, beta);
+  if (n_in_place == n) return;
   // Column chunks of B no larger than gemm_packed's kc x nc B panel.
   const index_t chunk = std::max<index_t>(NR, bs.kc * bs.nc / m / NR * NR);
   T* const bp = detail::pack_storage<T>(
-      1, static_cast<std::size_t>((std::min(chunk, n) + NR - 1) / NR * NR) * m);
-  for (index_t jc = 0; jc < n; jc += chunk) {
+      1, static_cast<std::size_t>(
+             (std::min(chunk, n - n_in_place) + NR - 1) / NR * NR) * m);
+  for (index_t jc = n_in_place; jc < n; jc += chunk) {
     const index_t nc_eff = std::min(chunk, n - jc);
     detail::pack_b<T>(bp, b, Trans::kNoTrans, 0, jc, m, nc_eff);
-    for (index_t jr = 0; jr < nc_eff; jr += NR) {
-      const index_t nr_eff = std::min<index_t>(NR, nc_eff - jr);
-      const T* const bj = bp + static_cast<std::size_t>(jr) * m;
-      const T* ai = ap;
-      for (index_t ir = 0; ir < m; ir += MR) {
-        const auto [lo, hi] = detail::tri_span(op_lower, ir, MR, m);
-        detail::micro_kernel<T>(hi - lo, ai, bj + lo * NR, acc);
-        detail::write_back<T>(
-            acc, c.data + static_cast<std::size_t>(jc + jr) * c.ld + ir, c.ld,
-            std::min<index_t>(MR, m - ir), nr_eff, beta);
-        ai += (hi - lo) * MR;
-      }
-    }
+    for (index_t jr = 0; jr < nc_eff; jr += NR)
+      detail::tri_column_panel<T, false>(
+          m, op_lower, ap, bp + static_cast<std::size_t>(jr) * m, 0,
+          c.data + static_cast<std::size_t>(jc + jr) * c.ld, c.ld,
+          std::min<index_t>(NR, nc_eff - jr), beta);
   }
 }
 
@@ -496,23 +598,6 @@ extern template void trmm_packed<double>(UpLo, Trans, Diag, double,
                                          ConstMatrixView<double>,
                                          ConstMatrixView<double>, double,
                                          MatrixView<double>, const Blocking&);
-
-#if TQR_MK_VECTORIZED
-namespace detail {
-
-/// Element-aligned variant of VecOf: loads through it compile to unaligned
-/// vector moves, so it can read from any offset inside a column (matrix
-/// columns are only guaranteed element-aligned once a view offsets into
-/// them).
-template <typename T>
-struct UnalignedVecOf {
-  static constexpr index_t lanes = kVecBytes / static_cast<index_t>(sizeof(T));
-  typedef T type __attribute__((vector_size(kVecBytes), may_alias,
-                                aligned(alignof(T))));
-};
-
-}  // namespace detail
-#endif  // TQR_MK_VECTORIZED
 
 /// SIMD dot product over contiguous arrays. The panel factor kernels and the
 /// small-triangle BLAS base cases are built out of column dots that the
@@ -569,6 +654,55 @@ inline T dot(index_t n, const T* __restrict x, const T* __restrict y) {
   T acc = T(0);
   for (index_t i = 0; i < n; ++i) acc += x[i] * y[i];
   return acc;
+}
+
+/// C(i, j) += alpha * x_i . y_j over an MB x NB block of column pairs, with
+/// x_i = x + i * ldx and y_j = y + j * ldy contiguous and n long: mk::dot
+/// register-blocked so that every vector loaded from x feeds NB FMAs and
+/// every vector loaded from y feeds MB. It is the A^T B of a product whose
+/// output is too small to pay for packing A transposed.
+template <typename T, int MB, int NB>
+inline void dot_block(index_t n, const T* x, index_t ldx, const T* y,
+                      index_t ldy, T alpha, T* c, index_t ldc) {
+#if TQR_MK_VECTORIZED
+  if constexpr (std::is_floating_point_v<T>) {
+    using V = typename detail::UnalignedVecOf<T>::type;
+    constexpr index_t L = detail::UnalignedVecOf<T>::lanes;
+    V acc[MB][NB];
+    for (int i = 0; i < MB; ++i)
+      for (int j = 0; j < NB; ++j) acc[i][j] = V{};
+    index_t p = 0;
+    for (; p + L <= n; p += L) {
+      V xv[MB], yv[NB];
+      for (int i = 0; i < MB; ++i)
+        xv[i] = *reinterpret_cast<const V*>(
+            x + i * static_cast<std::size_t>(ldx) + p);
+      for (int j = 0; j < NB; ++j)
+        yv[j] = *reinterpret_cast<const V*>(
+            y + j * static_cast<std::size_t>(ldy) + p);
+      for (int i = 0; i < MB; ++i)
+        for (int j = 0; j < NB; ++j) acc[i][j] += xv[i] * yv[j];
+    }
+    for (int j = 0; j < NB; ++j)
+      for (int i = 0; i < MB; ++i) {
+        T s = T(0);
+        for (index_t l = 0; l < L; ++l) s += acc[i][j][l];
+        for (index_t q = p; q < n; ++q)
+          s += x[i * static_cast<std::size_t>(ldx) + q] *
+               y[j * static_cast<std::size_t>(ldy) + q];
+        c[j * static_cast<std::size_t>(ldc) + i] += alpha * s;
+      }
+    return;
+  }
+#endif  // TQR_MK_VECTORIZED
+  for (int j = 0; j < NB; ++j)
+    for (int i = 0; i < MB; ++i) {
+      T s = T(0);
+      for (index_t q = 0; q < n; ++q)
+        s += x[i * static_cast<std::size_t>(ldx) + q] *
+             y[j * static_cast<std::size_t>(ldy) + q];
+      c[j * static_cast<std::size_t>(ldc) + i] += alpha * s;
+    }
 }
 
 /// y += alpha * x over contiguous arrays. Unlike dot this is not a

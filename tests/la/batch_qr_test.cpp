@@ -178,6 +178,43 @@ TEST(BatchedQr, SolveMatchesPerProblemLeastSquares) {
   }
 }
 
+/// A batch scaled by `scale`, with one zero column and one all-zero
+/// problem, factors to finite R with a residual at T's tolerance: the
+/// column norm's fast sum of squares over- or underflows at these scales,
+/// so the affected lanes must take the prescaled path.
+template <typename T>
+void expect_scale_safe(T scale) {
+  const index_t m = 16, n = 12;
+  auto problems = random_batch<T>(m, n, 11, 2000);  // 11: a partial chunk
+  for (auto& a : problems)
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < m; ++i) a(i, j) *= scale;
+  for (index_t i = 0; i < m; ++i) problems[3](i, 4) = T(0);
+  problems[5].view().fill(T(0));
+  const auto f = core::BatchedQr<T>::factor(problems);
+  EXPECT_EQ(f.tau().at(4, 0, 3), T(0)) << "scale " << scale;
+  for (index_t k = 0; k < n; ++k)
+    EXPECT_EQ(f.tau().at(k, 0, 5), T(0)) << "scale " << scale;
+  for (int p = 0; p < 11; ++p) {
+    const auto r = f.r(static_cast<index_t>(p));
+    EXPECT_TRUE(all_finite<T>(r.view())) << "scale " << scale << " p " << p;
+    EXPECT_LT(f.residual(static_cast<index_t>(p),
+                         problems[static_cast<std::size_t>(p)]),
+              verify_tolerance<T>(m + n))
+        << "scale " << scale << " problem " << p;
+  }
+}
+
+TEST(BatchedQr, ColumnNormIsScaleSafeInFp64) {
+  for (const double scale : {1.0, 1e155, 1e-155, 1e-300})
+    expect_scale_safe<double>(scale);
+}
+
+TEST(BatchedQr, ColumnNormIsScaleSafeInFp32) {
+  for (const float scale : {1.0f, 1e20f, 1e-20f, 1e-38f})
+    expect_scale_safe<float>(scale);
+}
+
 TEST(BatchedQr, ShapeViolationsThrow) {
   EXPECT_THROW(core::BatchedQr<double>::factor({}), InvalidArgument);
   std::vector<Matrix<double>> wide;

@@ -2,10 +2,13 @@
 // tpqrt shapes (l = 0 for TS, l = b for TT) leave in T the panels' ib x ib
 // diagonal blocks, each matching the block the unblocked kernel builds for
 // the same reflectors, and exact zeros everywhere else; unmqr/tpmqrt given
-// the same ib reproduce Q and Q^T. Swept over tile widths around the default
-// block width, square and taller tiles, four ib choices and both
+// the same ib reproduce Q and Q^T. tpqrt's panels run the recursive leaf,
+// so its T blocks (T12 = -T11 V1^T V2 T22 between halves) are checked
+// against the column loop's. Swept over tile widths around the default
+// block width, square and taller tiles, seven ib choices and both
 // precisions. Also: tiles scaled down into the subnormal range factor to
-// finite R and T (larfg's safe-minimum rescale).
+// finite R and T (larfg's safe-minimum rescale), for the default ib and for
+// one full-width panel.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -217,8 +220,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 31, 32, 33, 64, 100, 128, 129,
                                          256),
                        ::testing::Values(0, 17),
-                       // 0 = kPanelBase; 512 >= every b = one full-T block.
-                       ::testing::Values(0, 8, 32, 512)),
+                       // 0 = kPanelBase; 512 >= every b = one full-T block,
+                       // i.e. the recursive leaf over the whole width. 1 and
+                       // 16 keep each panel inside the leaf's column-loop
+                       // base; 23 splits it unevenly.
+                       ::testing::Values(0, 1, 8, 16, 23, 32, 512)),
     [](const ::testing::TestParamInfo<Case>& info) {
       // Appended piecewise: GCC 12 misreports "literal" + std::string
       // temporaries here under -Wrestrict.
@@ -289,46 +295,50 @@ TYPED_TEST(SubnormalTiles, GeqrtStaysFiniteAndAccurate) {
 TYPED_TEST(SubnormalTiles, TsqrtStaysFiniteAndAccurate) {
   using T = TypeParam;
   const index_t b = 128, m = 2 * b;
-  for (const T scale : TinyScales<T>::kScales) {
-    const Matrix<T> r1_0 = random_triangle<T>(b, 700, scale);
-    Matrix<T> a2_0 = Matrix<T>::random(b, b, 701);
-    for (index_t j = 0; j < b; ++j)
-      for (index_t i = 0; i < b; ++i) a2_0(i, j) *= scale;
-    Matrix<T> r1 = r1_0, a2 = a2_0, t(b, b);
-    tpqrt<T>(r1.view(), a2.view(), t.view(), 0, 0);
-    EXPECT_TRUE(all_finite<T>(r1.view())) << "scale " << scale;
-    EXPECT_TRUE(all_finite<T>(a2.view())) << "scale " << scale;
-    EXPECT_TRUE(all_finite<T>(t.view())) << "scale " << scale;
+  for (const index_t ib : {index_t(0), b}) {
+    for (const T scale : TinyScales<T>::kScales) {
+      const Matrix<T> r1_0 = random_triangle<T>(b, 700, scale);
+      Matrix<T> a2_0 = Matrix<T>::random(b, b, 701);
+      for (index_t j = 0; j < b; ++j)
+        for (index_t i = 0; i < b; ++i) a2_0(i, j) *= scale;
+      Matrix<T> r1 = r1_0, a2 = a2_0, t(b, b);
+      tpqrt<T>(r1.view(), a2.view(), t.view(), 0, ib);
+      EXPECT_TRUE(all_finite<T>(r1.view())) << "scale " << scale;
+      EXPECT_TRUE(all_finite<T>(a2.view())) << "scale " << scale;
+      EXPECT_TRUE(all_finite<T>(t.view())) << "scale " << scale;
 
-    Matrix<T> q = Matrix<T>::identity(m);
-    tpmqrt<T>(a2.view(), t.view(), q.block(0, 0, b, m), q.block(b, 0, b, m), 0,
-              Trans::kNoTrans, 0);
-    EXPECT_LT(scaled_reconstruction(stack(r1_0, a2_0), q, r_padded(r1, m),
-                                    TinyScales<T>::kUp),
-              residual_tolerance<T>(m))
-        << "scale " << scale;
+      Matrix<T> q = Matrix<T>::identity(m);
+      tpmqrt<T>(a2.view(), t.view(), q.block(0, 0, b, m),
+                q.block(b, 0, b, m), 0, Trans::kNoTrans, ib);
+      EXPECT_LT(scaled_reconstruction(stack(r1_0, a2_0), q, r_padded(r1, m),
+                                      TinyScales<T>::kUp),
+                residual_tolerance<T>(m))
+          << "scale " << scale << " ib " << ib;
+    }
   }
 }
 
 TYPED_TEST(SubnormalTiles, TtqrtStaysFiniteAndAccurate) {
   using T = TypeParam;
   const index_t b = 128, m = 2 * b;
-  for (const T scale : TinyScales<T>::kScales) {
-    const Matrix<T> r1_0 = random_triangle<T>(b, 710, scale);
-    const Matrix<T> r2_0 = random_triangle<T>(b, 711, scale);
-    Matrix<T> r1 = r1_0, r2 = r2_0, t(b, b);
-    tpqrt<T>(r1.view(), r2.view(), t.view(), b, 0);
-    EXPECT_TRUE(all_finite<T>(r1.view())) << "scale " << scale;
-    EXPECT_TRUE(all_finite<T>(r2.view())) << "scale " << scale;
-    EXPECT_TRUE(all_finite<T>(t.view())) << "scale " << scale;
+  for (const index_t ib : {index_t(0), b}) {
+    for (const T scale : TinyScales<T>::kScales) {
+      const Matrix<T> r1_0 = random_triangle<T>(b, 710, scale);
+      const Matrix<T> r2_0 = random_triangle<T>(b, 711, scale);
+      Matrix<T> r1 = r1_0, r2 = r2_0, t(b, b);
+      tpqrt<T>(r1.view(), r2.view(), t.view(), b, ib);
+      EXPECT_TRUE(all_finite<T>(r1.view())) << "scale " << scale;
+      EXPECT_TRUE(all_finite<T>(r2.view())) << "scale " << scale;
+      EXPECT_TRUE(all_finite<T>(t.view())) << "scale " << scale;
 
-    Matrix<T> q = Matrix<T>::identity(m);
-    tpmqrt<T>(r2.view(), t.view(), q.block(0, 0, b, m), q.block(b, 0, b, m), b,
-              Trans::kNoTrans, 0);
-    EXPECT_LT(scaled_reconstruction(stack(r1_0, r2_0), q, r_padded(r1, m),
-                                    TinyScales<T>::kUp),
-              residual_tolerance<T>(m))
-        << "scale " << scale;
+      Matrix<T> q = Matrix<T>::identity(m);
+      tpmqrt<T>(r2.view(), t.view(), q.block(0, 0, b, m),
+                q.block(b, 0, b, m), b, Trans::kNoTrans, ib);
+      EXPECT_LT(scaled_reconstruction(stack(r1_0, r2_0), q, r_padded(r1, m),
+                                      TinyScales<T>::kUp),
+                residual_tolerance<T>(m))
+          << "scale " << scale << " ib " << ib;
+    }
   }
 }
 

@@ -200,6 +200,127 @@ TEST(Microkernel, NonUnitLeadingDimensionSubviews) {
     }
 }
 
+// A non-transposed B is read in place, one full NR-column panel at a time;
+// its transpose is packed. Both feed the micro-kernel the same values in the
+// same order, so the results must agree bit for bit: over every fringe
+// shape, with KC and MC boundaries crossed, on offset views with ld > rows,
+// and for beta == 0 on a NaN-filled C that must never be read.
+template <typename T>
+void expect_in_place_b_bitwise(Trans ta, T alpha, T beta, index_t m,
+                               index_t n, index_t k, const mk::Blocking& bs) {
+  const index_t am = ta == Trans::kNoTrans ? m : k;
+  const index_t ak = ta == Trans::kNoTrans ? k : m;
+  const auto abig = Matrix<T>::random(am + 3, ak + 2, 401);
+  const auto bbig = Matrix<T>::random(k + 5, n + 1, 402);
+  const auto a = ConstMatrixView<T>(abig.view()).block(2, 1, am, ak);
+  const auto b = ConstMatrixView<T>(bbig.view()).block(4, 1, k, n);
+  Matrix<T> bt(n, k);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t p = 0; p < k; ++p) bt(j, p) = b(p, j);
+  auto cbig = Matrix<T>::random(m + 6, n + 2, 403);
+  if (beta == T(0)) cbig.view().fill(std::numeric_limits<T>::quiet_NaN());
+  Matrix<T> cbig_t = cbig;
+  auto c = cbig.view().block(3, 1, m, n);
+  auto c_t = cbig_t.view().block(3, 1, m, n);
+  mk::gemm_packed<T>(ta, Trans::kNoTrans, alpha, a, b, beta, c, bs);
+  mk::gemm_packed<T>(ta, Trans::kTrans, alpha, a, bt.view(), beta, c_t, bs);
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i) {
+      ASSERT_TRUE(std::isfinite(c(i, j))) << "m=" << m << " n=" << n;
+      ASSERT_EQ(c(i, j), c_t(i, j))
+          << "m=" << m << " n=" << n << " k=" << k << " i=" << i
+          << " j=" << j;
+    }
+}
+
+template <typename T>
+class InPlaceB : public ::testing::Test {};
+using EnginePrecisions = ::testing::Types<float, double>;
+TYPED_TEST_SUITE(InPlaceB, EnginePrecisions);
+
+TYPED_TEST(InPlaceB, MatchesPackedTransposedBBitwise) {
+  using T = TypeParam;
+  constexpr index_t mr = mk::RegisterBlocking<T>::mr;
+  constexpr index_t nr = mk::RegisterBlocking<T>::nr;
+  const mk::Blocking small{8, 2 * mr, 3 * nr};
+  for (auto ta : {Trans::kNoTrans, Trans::kTrans})
+    for (index_t m : {1, mr - 1, mr, mr + 1, 2 * mr + 3})
+      for (index_t n : {1, nr - 1, nr, nr + 1, 3 * nr, 4 * nr + 5})
+        for (index_t k : {1, 7, 8, 9, 21}) {
+          expect_in_place_b_bitwise<T>(ta, T(1), T(0), m, n, k, small);
+          expect_in_place_b_bitwise<T>(ta, T(-1), T(1), m, n, k, small);
+          expect_in_place_b_bitwise<T>(ta, T(2), T(-0.5), m, n, k, small);
+        }
+  // Tile-sized products on the default blocking (the tile kernels' shapes).
+  for (auto ta : {Trans::kNoTrans, Trans::kTrans})
+    for (index_t n : {32, 128, 131}) {
+      expect_in_place_b_bitwise<T>(ta, T(1), T(0), 128, n, 128,
+                                   mk::default_blocking<T>());
+      expect_in_place_b_bitwise<T>(ta, T(-1), T(1), 32, n, 128,
+                                   mk::default_blocking<T>());
+    }
+}
+
+TYPED_TEST(InPlaceB, TrmmOutOfPlaceMatchesInPlaceBitwise) {
+  // Out of place, trmm_packed reads B's full panels where they lie; in place
+  // (b == c) it packs them. Same values, same order: equal bits.
+  using T = TypeParam;
+  constexpr index_t mr = mk::RegisterBlocking<T>::mr;
+  constexpr index_t nr = mk::RegisterBlocking<T>::nr;
+  for (auto uplo : {UpLo::kUpper, UpLo::kLower})
+    for (auto trans : {Trans::kNoTrans, Trans::kTrans})
+      for (index_t m : {1, mr - 1, mr + 1, 2 * mr + 3})
+        for (index_t n : {1, nr, nr + 1, 4 * nr + 5}) {
+          const auto a = Matrix<T>::random(m, m, 411);
+          const auto bbig = Matrix<T>::random(m + 2, n + 1, 412);
+          const auto b = ConstMatrixView<T>(bbig.view()).block(1, 1, m, n);
+          Matrix<T> in_place(m, n);
+          copy<T>(b, in_place.view());
+          Matrix<T> out(m, n);
+          out.view().fill(std::numeric_limits<T>::quiet_NaN());
+          mk::trmm_packed<T>(uplo, trans, Diag::kNonUnit, T(1), a.view(),
+                             in_place.view(), T(0), in_place.view());
+          mk::trmm_packed<T>(uplo, trans, Diag::kNonUnit, T(1), a.view(), b,
+                             T(0), out.view());
+          for (index_t j = 0; j < n; ++j)
+            for (index_t i = 0; i < m; ++i)
+              ASSERT_EQ(out(i, j), in_place(i, j)) << "m=" << m << " n=" << n;
+        }
+}
+
+TEST(Microkernel, SmallTransposedProductsRunAsBlockedDots) {
+  // A^T B with a small output skips the engine (tn_dots_win) for gemm_naive's
+  // 4 x 4 blocked dots; every fringe of that blocking, and the k tail past
+  // the last full vector, must match the reference. beta == 0 never reads C.
+  EXPECT_TRUE(detail::tn_dots_win<double>(Trans::kTrans, Trans::kNoTrans, 16,
+                                          16));
+  EXPECT_FALSE(detail::tn_dots_win<double>(Trans::kTrans, Trans::kNoTrans, 32,
+                                           128));
+  EXPECT_FALSE(detail::tn_dots_win<double>(Trans::kNoTrans, Trans::kNoTrans,
+                                           8, 8));
+  for (index_t m : {1, 3, 4, 5, 9, 16})
+    for (index_t n : {1, 2, 4, 7, 16})
+      for (index_t k : {1, 7, 8, 13, 128}) {
+        const auto a = Matrix<double>::random(k, m, 421);
+        const auto b = Matrix<double>::random(k, n, 422);
+        const auto c0 = Matrix<double>::random(m, n, 423);
+        for (double beta : {0.0, 1.0, -0.5}) {
+          Matrix<double> c = c0;
+          if (beta == 0.0)
+            c.view().fill(std::numeric_limits<double>::quiet_NaN());
+          gemm<double>(Trans::kTrans, Trans::kNoTrans, -2.0, a.view(),
+                       b.view(), beta, c.view());
+          const auto ref = reference_gemm(Trans::kTrans, Trans::kNoTrans,
+                                          -2.0, a.view(), b.view(), beta,
+                                          c0.view());
+          for (index_t j = 0; j < n; ++j)
+            for (index_t i = 0; i < m; ++i)
+              ASSERT_NEAR(c(i, j), ref(i, j), 2.0 * tol_for(k))
+                  << "m=" << m << " n=" << n << " k=" << k;
+        }
+      }
+}
+
 TEST(Microkernel, LargeMultiPanelProblem) {
   // Big enough that every cache-blocking loop runs more than once with the
   // default blocking, plus ragged edges everywhere.

@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <future>
+#include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
@@ -384,6 +385,31 @@ TEST_P(ServiceRagged, ExplicitTtJobReturnsTheTtTreesR) {
   EXPECT_TRUE(same_bits(result.r, replay_r(GetParam(), a,
                                            dag::Elimination::kTt)));
   EXPECT_LE(gram_residual(a, result.r), tolerance());
+}
+
+TEST(QrService, Fp32RMatchesTiledQrFactorizationBitwise) {
+  // The service and the one-shot TiledQrFactorization link one compiled
+  // copy of each tile kernel (the extern template lists in la/), so fp32 R
+  // is the same bits whichever translation unit drives the kernels.
+  QrService service;
+  for (const auto& [rows, cols, tile] :
+       {std::tuple{1024, 256, 128}, std::tuple{256, 256, 64}}) {
+    JobSpec s = spec_for(rows, cols, 93 + rows, false);
+    s.tile_size = tile;
+    s.precision = Precision::kFp32;
+    la::Matrix<float> af(rows, cols);
+    for (la::index_t j = 0; j < cols; ++j)
+      for (la::index_t i = 0; i < rows; ++i)
+        af(i, j) = static_cast<float>(s.a(i, j));
+    const la::Matrix<float> r32 =
+        core::TiledQrFactorization<float>::factor(af, tile).r();
+    la::Matrix<double> r(cols, cols);
+    for (la::index_t j = 0; j < cols; ++j)
+      for (la::index_t i = 0; i < cols; ++i) r(i, j) = r32(i, j);
+    const JobResult result = service.submit(std::move(s)).get();
+    ASSERT_EQ(result.status, JobStatus::kOk) << result.error;
+    EXPECT_TRUE(same_bits(result.r, r)) << rows << "x" << cols;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -21,10 +21,15 @@ head -1 A.mtx | grep -q "%%MatrixMarket" || fail "mtx header"
 out=$("$TQR" factor --in A.mtx --r R.mtx --q Q.bin)
 echo "$out" | grep -q "wrote R to R.mtx" || fail "factor outputs"
 echo "$out" | grep -Eq 'Q\^T Q - I.*e-1[4-9]' || fail "orthogonality residual: $out"
+echo "$out" | grep -Eq '^factor time [0-9.]+ s, [0-9.]+ GFLOP/s$' \
+  || fail "factor time line: $out"
 
 # solve: QR and Cholesky methods.
-"$TQR" solve --in A.mtx --rhs b.bin --out x.mtx --refine 1 \
-  | grep -Eq 'A\^T \(b - A x\).*e-(0[7-9]|1[0-9])' || fail "qr solve residual"
+out=$("$TQR" solve --in A.mtx --rhs b.bin --out x.mtx --refine 1)
+echo "$out" | grep -Eq 'A\^T \(b - A x\).*e-(0[7-9]|1[0-9])' \
+  || fail "qr solve residual"
+echo "$out" | grep -Eq '^solve time [0-9.]+ s, [0-9.]+ GFLOP/s$' \
+  || fail "solve time line: $out"
 # solve with chol must reject a non-SPD input cleanly (exit code 2).
 set +e
 "$TQR" solve --in A.mtx --rhs b.bin --method chol > /dev/null 2>&1

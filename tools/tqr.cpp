@@ -32,6 +32,7 @@
 #include "core/tiled_cholesky.hpp"
 #include "core/tiled_qr.hpp"
 #include "la/checks.hpp"
+#include "la/flops.hpp"
 #include "la/generators.hpp"
 #include "la/io.hpp"
 #include "svc/qr_service.hpp"
@@ -183,7 +184,9 @@ int cmd_factor(int argc, char** argv) {
   typename core::TiledQrFactorization<double>::Options opts;
   opts.elim = parse_elim(cli.get_string("elim", "ts"));
   opts.inner_block = checked_ib(cli);
+  Timer wall;
   auto f = core::TiledQrFactorization<double>::factor(padded, b, opts);
+  const double factor_s = wall.seconds();
 
   auto q = f.form_q();
   auto r = f.r();
@@ -194,6 +197,8 @@ int cmd_factor(int argc, char** argv) {
   std::printf("factored %s: %d x %d, tile %d%s, %zu kernels\n", in.c_str(),
               a.rows(), a.cols(), b, was_padded ? " (padded)" : "",
               f.graph().size());
+  std::printf("factor time %.4f s, %.2f GFLOP/s\n", factor_s,
+              la::flops_qr(a.rows(), a.cols()) / factor_s * 1e-9);
   std::printf("||Q^T Q - I||_F / n     = %.3e\n",
               la::orthogonality_residual<double>(q.view()));
   std::printf("||A - Q R||_F / ||A||_F = %.3e\n",
@@ -306,6 +311,7 @@ int cmd_solve(int argc, char** argv) {
   const svc::Precision precision =
       svc::parse_precision(cli.get_string("precision", "fp64"));
   la::Matrix<double> x;
+  Timer wall;
   if (method == "chol") {
     if (precision != svc::Precision::kFp64)
       throw InvalidArgument("--precision fp32 requires --method qr");
@@ -331,6 +337,7 @@ int cmd_solve(int argc, char** argv) {
   } else {
     throw InvalidArgument("unknown --method '" + method + "'");
   }
+  const double solve_s = wall.seconds();
 
   // Report the least-squares optimality residual.
   la::Matrix<double> resid = rhs;
@@ -341,6 +348,13 @@ int cmd_solve(int argc, char** argv) {
                    resid.view(), 0.0, atr.view());
   std::printf("solved %d x %d system, %d rhs, %d refinement steps\n",
               a.rows(), a.cols(), rhs.cols(), refine);
+  // GFLOP/s counts the QR factorization's flops; a Cholesky solve reports
+  // its time only.
+  if (method == "qr")
+    std::printf("solve time %.4f s, %.2f GFLOP/s\n", solve_s,
+                la::flops_qr(a.rows(), a.cols()) / solve_s * 1e-9);
+  else
+    std::printf("solve time %.4f s\n", solve_s);
   std::printf("||A^T (b - A x)||_max = %.3e\n",
               la::norm_max<double>(atr.view()));
   const std::string out = cli.get_string("out", "");
