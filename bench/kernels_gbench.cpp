@@ -23,7 +23,6 @@
 #include "core/tiled_qr.hpp"
 #include "dag/tiled_qr_dag.hpp"
 #include "la/blas.hpp"
-#include "la/blocked_qr.hpp"
 #include "la/flops.hpp"
 #include "la/microkernel.hpp"
 #include "la/pivoted_qr.hpp"
@@ -122,18 +121,6 @@ void BM_GeqrtInnerBlocked(benchmark::State& state) {
       la::flops_geqrt(b) * state.iterations(), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_GeqrtInnerBlocked)->Arg(0)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
-
-void BM_BlockedQr(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto a = Matrix<double>::random(n, n, 10);
-  for (auto _ : state) {
-    la::BlockedQr<double> qr(a, 32);
-    benchmark::DoNotOptimize(&qr);
-  }
-  state.counters["flops"] = benchmark::Counter(
-      la::flops_qr(n, n) * state.iterations(), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_BlockedQr)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_PivotedQr(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -126,6 +126,7 @@ RunMetrics replay(svc::QrService& service, const std::vector<TraceShape>& trace,
       case svc::JobStatus::kExpired: ++m.expired; break;
       case svc::JobStatus::kRejected: break;
       case svc::JobStatus::kCorrupted: ++m.corrupted; break;
+      case svc::JobStatus::kInvalidInput: ++m.failed; break;
     }
     if (r.status == svc::JobStatus::kOk) {
       if (r.attempts > 1) ++m.retried_ok;

@@ -41,7 +41,9 @@ sim::Platform make_cluster_platform(int nodes, double inter_gbytes_per_s,
 bool indicts_node(svc::JobStatus status) {
   // Outcomes that blame the node: execution failure, corruption, or a
   // bounced submission. Cancels and deadline expirations are the caller's
-  // (or the clock's) doing and neither feed health nor trigger failover.
+  // (or the clock's) doing, and kInvalidInput the submitter's (the same
+  // input fails on every node), so they neither feed health nor trigger
+  // failover.
   return status == svc::JobStatus::kFailed ||
          status == svc::JobStatus::kCorrupted ||
          status == svc::JobStatus::kRejected;

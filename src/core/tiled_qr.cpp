@@ -50,8 +50,10 @@ TiledQrFactorization<T> TiledQrFactorization<T>::factor(
     const la::Matrix<T>& a, int b, const Options& options) {
   TQR_REQUIRE(a.rows() >= a.cols(), "tiled QR requires rows >= cols");
   la::TiledMatrix<T> tiles = la::TiledMatrix<T>::from_dense(a, b);
-  la::TiledMatrix<T> tg(tiles.rows(), tiles.cols(), b);
-  la::TiledMatrix<T> te(tiles.rows(), tiles.cols(), b);
+  la::TiledMatrix<T> tg =
+      la::t_plane<T>(tiles.rows(), tiles.cols(), b, options.inner_block);
+  la::TiledMatrix<T> te =
+      la::t_plane<T>(tiles.rows(), tiles.cols(), b, options.inner_block);
   dag::TaskGraph graph =
       dag::build_tiled_qr_graph(tiles.tile_rows(), tiles.tile_cols(),
                                 options.elim, options.hier_groups);

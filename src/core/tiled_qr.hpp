@@ -1,12 +1,12 @@
 // Tiled QR factorization driver — the library's main functional entry point.
 //
 // TiledQrFactorization<T> owns the factored tile storage (the matrix tiles
-// plus the two block-reflector planes) and the task graph that produced it,
-// so Q can be re-applied by replaying the factor tasks. factor() replays the
-// graph sequentially in task order. Parallel host execution is
-// runtime::DagExecutor driving execute_task over the same graph (what
-// svc::QrService does); tests check it reproduces the sequential factors
-// bitwise.
+// plus the two compact block-reflector planes, one nb x b factor per tile)
+// and the task graph that produced it, so Q can be re-applied by replaying
+// the factor tasks. factor() replays the graph sequentially in task order.
+// Parallel host execution is runtime::DagExecutor driving execute_task over
+// the same graph (what svc::QrService does); tests check it reproduces the
+// sequential factors bitwise.
 #pragma once
 
 #include <optional>
@@ -23,7 +23,9 @@ namespace tqr::core {
 /// the examples can drive custom schedules. inner_block is the kernels' `ib`
 /// (<= 0 selects la::kPanelBase): the panel and T block width of la::geqrt
 /// and la::tpqrt, which their applies unmqr/tpmqrt walk. Every task of one
-/// factorization must run with the same value.
+/// factorization must run with the same value. tg/te tiles need at least
+/// la::inner_block_width(inner_block, b) rows: la::t_plane's compact nb x b
+/// tiles, or square b x b ones whose top nb rows then hold the factors.
 template <typename T>
 void execute_task(const dag::Task& task, la::TiledMatrix<T>& a,
                   la::TiledMatrix<T>& tg, la::TiledMatrix<T>& te,
@@ -107,8 +109,8 @@ class TiledQrFactorization {
         inner_block_(inner_block) {}
 
   la::TiledMatrix<T> a_;
-  la::TiledMatrix<T> tg_;  // geqrt block-reflector factors
-  la::TiledMatrix<T> te_;  // elimination block-reflector factors
+  la::TiledMatrix<T> tg_;  // geqrt block-reflector factors (la::t_plane)
+  la::TiledMatrix<T> te_;  // elimination block-reflector factors (ditto)
   dag::TaskGraph graph_;
   dag::Elimination elim_;
   la::index_t inner_block_ = 0;

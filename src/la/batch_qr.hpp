@@ -95,13 +95,20 @@ class BatchMatrix {
 
   /// Scatters one dense column-major problem into its lane. The source may
   /// be a wider type (fp32 batches load from fp64 specs by narrowing).
+  /// Returns whether every loaded value is finite (checked in the same
+  /// pass; out-of-range narrowing shows up as Inf).
   template <typename U>
-  void load(index_t p, ConstMatrixView<U> src) {
+  bool load(index_t p, ConstMatrixView<U> src) {
     TQR_REQUIRE(src.rows == rows_ && src.cols == cols_,
                 "BatchMatrix::load shape mismatch");
+    int finite = 1;
     for (index_t j = 0; j < cols_; ++j)
-      for (index_t i = 0; i < rows_; ++i)
-        at(i, j, p) = static_cast<T>(src(i, j));
+      for (index_t i = 0; i < rows_; ++i) {
+        const T v = static_cast<T>(src(i, j));
+        at(i, j, p) = v;
+        finite &= v - v == T(0);
+      }
+    return finite != 0;
   }
 
   /// Gathers lane p back into dense column-major storage (widening is fine).

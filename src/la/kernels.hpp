@@ -22,21 +22,26 @@
 // The structured top part of V (identity columns) is always implicit, and
 // nothing below B's triangle is ever read or written.
 //
-// One T contract (PLASMA's `ib`, Buttari et al.): every factor kernel works
-// in ib-wide column panels. Each panel runs a leaf (geqrt_unblocked for
+// One T contract (PLASMA's `ib`, Buttari et al.; LAPACK dgeqrt/dtpqrt's
+// LDT x N factor): every factor kernel works in nb-wide column panels,
+// nb = inner_block_width(ib, n). Each panel runs a leaf (geqrt_unblocked for
 // geqrt; for tpqrt the recursive detail::tpqrt_leaf, whose base case is
 // tpqrt_unblocked), then one single-block compact-WY apply updates the
-// trailing columns. Tf keeps only the panels' ib x ib diagonal blocks and is
-// zero everywhere else:
+// trailing columns. Only the panels' upper-triangular factors Tf_j carry
+// information, so Tf is stored compactly as nb x n: panel j (columns
+// s..s+kb) keeps Tf_j in t(0:kb, s:s+kb), and everything else in those nb
+// rows is zero:
 //
-//   Q = Q_0 Q_1 ... Q_{p-1},   Q_j = I - V_j Tf_jj V_j^T.
+//   Q = Q_0 Q_1 ... Q_{p-1},   Q_j = I - V_j Tf_j V_j^T.
 //
-// unmqr and tpmqrt apply those blocks in turn (ascending for Q^T, descending
-// for Q) through a per-thread W workspace, so they take the `ib` the tile was
+// No kernel reads or writes T below row nb, so any T with at least nb rows
+// (a square b x b tile too) holds the factor in its top nb rows. unmqr and
+// tpmqrt apply the blocks in turn (ascending for Q^T, descending for Q)
+// through a per-thread W workspace, so they take the `ib` the tile was
 // factored with as a required argument. `ib <= 0` selects kPanelBase;
-// `ib >= b` is a single block, i.e. the full Tf the unblocked reference
-// kernels (geqrt_unblocked, tpqrt_unblocked) build. A full Tf may be applied
-// with any `ib`: its diagonal blocks are exactly the panel factors.
+// `ib >= b` is a single block, i.e. the full n x n Tf the unblocked
+// reference kernels (geqrt_unblocked, tpqrt_unblocked) build, which must be
+// applied with an `ib >= n` as well.
 //
 // Numerical contract (asserted by the test suite): for random tiles,
 // reconstruction and orthogonality residuals are O(eps * n), also for tiles
@@ -50,6 +55,7 @@
 
 #include "la/blas.hpp"
 #include "la/matrix.hpp"
+#include "la/tiled_matrix.hpp"
 
 namespace tqr::la {
 
@@ -62,6 +68,23 @@ namespace tqr::la {
 /// tiles 64-256, and 16 drops unmqr onto its fused small path (kWyFusedMax),
 /// which runs about 2.5x slower.
 inline constexpr index_t kPanelBase = 32;
+
+/// The Tf block width nb for a caller-supplied `ib` over k reflectors: the
+/// row count of the compact T factor (nb x k) the factor kernels leave.
+inline index_t inner_block_width(index_t ib, index_t k) {
+  return std::min(ib <= 0 ? kPanelBase : ib, k);
+}
+
+/// A zeroed T-factor plane for a rows x cols grid of b x b tiles factored
+/// with `ib`: one compact nb x b factor per tile, nb = inner_block_width(ib,
+/// b), so the plane is rows / b * nb rows tall.
+template <typename T>
+TiledMatrix<T> t_plane(index_t rows, index_t cols, index_t b, index_t ib) {
+  TQR_REQUIRE(b > 0 && rows % b == 0,
+              "t_plane: rows must be a multiple of the tile size");
+  const index_t nb = inner_block_width(ib, b);
+  return TiledMatrix<T>(rows / b * nb, cols, nb, b);
+}
 
 namespace detail {
 
@@ -122,11 +145,6 @@ void scaled_triu_matvec(MatrixView<T> t, index_t k, const T* z, T scale) {
   }
 }
 
-/// The Tf block width for a caller-supplied `ib` over k reflectors.
-inline index_t inner_block_width(index_t ib, index_t k) {
-  return std::min(ib <= 0 ? kPanelBase : ib, k);
-}
-
 /// Columns of C one pass of the compact-WY applies covers. Columns of C are
 /// transformed independently, so wider C is walked in chunks of this many
 /// columns and the workspace stays bounded by the tile sizes in use.
@@ -147,6 +165,15 @@ T* apply_workspace(std::size_t n) {
 inline index_t block_start(index_t q, index_t blocks, index_t nb,
                            Trans trans) {
   return (trans == Trans::kTrans ? q : blocks - 1 - q) * nb;
+}
+
+/// Zeroes the part of a compact nb x n T that no panel's kb x kb square
+/// covers: the rows below a narrower last panel. Each panel's leaf zero-fills
+/// its own square, so this completes "zero outside the factors".
+template <typename T>
+void zero_t_fringe(MatrixView<T> t, index_t n, index_t nb) {
+  const index_t last = nb > 0 ? n % nb : 0;
+  if (last != 0) t.block(last, n - last, nb - last, last).fill(T(0));
 }
 
 }  // namespace detail
@@ -200,8 +227,9 @@ inline constexpr index_t kWyFusedMax = 16;
 
 /// Applies the Q of a geqrt-factored tile to C from the left; trans ==
 /// kTrans applies Q^T. `v` is the factored tile (m x k, reflectors below the
-/// diagonal), `t` its block reflector factor and `ib` the inner block width
-/// geqrt ran with. Block [s, s+kb) of Q acts on rows s..m of C only.
+/// diagonal), `t` its compact block reflector factor (nb x k) and `ib` the
+/// inner block width geqrt ran with. Block [s, s+kb) of Q acts on rows s..m
+/// of C only.
 ///
 /// For kb > kWyFusedMax the three compact-WY steps are expressed on the
 /// block's structure — V = [V1; V2] with V1 unit lower triangular (kb x kb)
@@ -219,8 +247,8 @@ void unmqr(ConstMatrixView<T> v, ConstMatrixView<T> t, MatrixView<T> c,
            Trans trans, index_t ib) {
   const index_t m = c.rows, n = c.cols, k = v.cols;
   TQR_REQUIRE(v.rows == m, "unmqr: V/C row mismatch");
-  TQR_REQUIRE(t.rows >= k && t.cols >= k, "unmqr: T factor too small");
-  const index_t nb = detail::inner_block_width(ib, k);
+  const index_t nb = inner_block_width(ib, k);
+  TQR_REQUIRE(t.rows >= nb && t.cols >= k, "unmqr: T factor too small");
   const index_t blocks = k == 0 ? 0 : (k + nb - 1) / nb;
   const Trans op_t = trans == Trans::kNoTrans ? Trans::kNoTrans : Trans::kTrans;
 
@@ -232,7 +260,7 @@ void unmqr(ConstMatrixView<T> v, ConstMatrixView<T> t, MatrixView<T> c,
       const index_t s = detail::block_start(q, blocks, nb, trans);
       const index_t kb = std::min(nb, k - s), mb = m - s;
       const auto vb = v.block(s, s, mb, kb);
-      const auto tb = t.block(s, s, kb, kb);
+      const auto tb = t.block(0, s, kb, kb);
       auto cb = c.block(s, j0, mb, nj);
       const MatrixView<T> w{ws, kb, nj, kb};
 
@@ -286,15 +314,16 @@ void unmqr(ConstMatrixView<T> v, ConstMatrixView<T> t, MatrixView<T> c,
 
 namespace detail {
 
-/// Shape checks shared by tpqrt and its leaf. `l` is structural: 0 for a
-/// dense B (TS), n for a B whose bottom n rows are upper triangular (TT).
+/// Shape checks shared by tpqrt and its leaf; `nb` is the T block width
+/// (T must be at least nb x n). `l` is structural: 0 for a dense B (TS), n
+/// for a B whose bottom n rows are upper triangular (TT).
 template <typename T>
 void require_tp_factor(MatrixView<T> r1, MatrixView<T> b, MatrixView<T> t,
-                       index_t l) {
+                       index_t l, index_t nb) {
   const index_t n = r1.cols;
   TQR_REQUIRE(r1.rows >= n, "tpqrt: R1 must be at least n x n");
   TQR_REQUIRE(b.cols == n, "tpqrt: B column mismatch");
-  TQR_REQUIRE(t.rows >= n && t.cols >= n, "tpqrt: T factor too small");
+  TQR_REQUIRE(t.rows >= nb && t.cols >= n, "tpqrt: T factor too small");
   TQR_REQUIRE(l == 0 || (l == n && b.rows >= n),
               "tpqrt: l must be 0 (dense B) or n (triangular bottom)");
 }
@@ -317,7 +346,7 @@ inline index_t tp_rows(index_t m2, index_t n, index_t l, index_t k) {
 template <typename T>
 void tpqrt_unblocked(MatrixView<T> r1, MatrixView<T> b, MatrixView<T> t,
                      index_t l) {
-  detail::require_tp_factor<T>(r1, b, t, l);
+  detail::require_tp_factor<T>(r1, b, t, l, r1.cols);
   const index_t n = r1.cols, m2 = b.rows;
   t.block(0, 0, n, n).fill(T(0));
   std::vector<T> z(n);
@@ -354,7 +383,8 @@ void tpqrt_unblocked(MatrixView<T> r1, MatrixView<T> b, MatrixView<T> t,
 /// factored with this `l`), `t` its factor and `ib` the inner block width
 /// tpqrt ran with. Block [s, s+kb) of Q acts on rows s..s+kb of C1 and on
 /// the rows of C2 its V2 block spans: a dense top D (all m2 rows when
-/// l == 0) over a kb x kb upper triangle U (when l == k). Per block:
+/// l == 0) over a kb x kb upper triangle U (when l == k); `t` is compact
+/// (nb x k, block [s, s+kb) in t(0:kb, s:s+kb)). Per block:
 ///   W  = C1 + D^T C2d + U^T C2u   (copy, gemm, accumulating trmm)
 ///   TW = op(Tf) W                 (upper trmm, out of place)
 ///   C1 -= TW,  C2d -= D TW,  C2u -= U TW
@@ -365,10 +395,10 @@ void tpmqrt(ConstMatrixView<T> v2, ConstMatrixView<T> t, MatrixView<T> c1,
   const index_t k = v2.cols, m2 = v2.rows, n = c1.cols;
   TQR_REQUIRE(c1.rows == k, "tpmqrt: C1 must have k rows");
   TQR_REQUIRE(c2.rows == m2 && c2.cols == n, "tpmqrt: C2 shape mismatch");
-  TQR_REQUIRE(t.rows >= k && t.cols >= k, "tpmqrt: T factor too small");
   TQR_REQUIRE(l == 0 || (l == k && m2 >= k),
               "tpmqrt: l must be 0 (dense V2) or k (triangular bottom)");
-  const index_t nb = detail::inner_block_width(ib, k);
+  const index_t nb = inner_block_width(ib, k);
+  TQR_REQUIRE(t.rows >= nb && t.cols >= k, "tpmqrt: T factor too small");
   const index_t blocks = k == 0 ? 0 : (k + nb - 1) / nb;
   const Trans op_t = trans == Trans::kNoTrans ? Trans::kNoTrans : Trans::kTrans;
 
@@ -399,7 +429,7 @@ void tpmqrt(ConstMatrixView<T> v2, ConstMatrixView<T> t, MatrixView<T> c1,
       // TW = op(Tf) W, out of place so the engine reads W where it lies. Q
       // uses Tf, Q^T uses Tf^T.
       trmm_left<T>(UpLo::kUpper, op_t, Diag::kNonUnit, T(1),
-                   t.block(s, s, kb, kb), w, T(0), tw);
+                   t.block(0, s, kb, kb), w, T(0), tw);
 
       // [C1; C2] -= [I; V2] TW over the block's support.
       for (index_t j = 0; j < nj; ++j)
@@ -418,22 +448,23 @@ void tpmqrt(ConstMatrixView<T> v2, ConstMatrixView<T> t, MatrixView<T> c1,
 /// QR factorization of an m x n tile (m >= n), in place, in `ib`-wide panels
 /// (<= 0 selects kPanelBase, >= n runs the unblocked reference kernel). On
 /// exit: upper triangle of `a` holds R; below-diagonal the Householder
-/// vectors V (unit diagonal implicit); `t` (n x n) the panels' block
-/// reflector factors on its diagonal and zeros elsewhere. Apply with
+/// vectors V (unit diagonal implicit); `t` (at least nb x n, nb =
+/// inner_block_width(ib, n)) the panels' block reflector factors in the
+/// compact layout and zeros elsewhere in its top nb rows. Apply with
 /// unmqr(..., ib) using the same `ib`.
 template <typename T>
 void geqrt(MatrixView<T> a, MatrixView<T> t, index_t ib = 0) {
   const index_t m = a.rows, n = a.cols;
   TQR_REQUIRE(m >= n, "geqrt: require rows >= cols");
-  TQR_REQUIRE(t.rows >= n && t.cols >= n, "geqrt: T factor too small");
-  const index_t nb = detail::inner_block_width(ib, n);
-  t.block(0, 0, n, n).fill(T(0));
+  const index_t nb = inner_block_width(ib, n);
+  TQR_REQUIRE(t.rows >= nb && t.cols >= n, "geqrt: T factor too small");
+  detail::zero_t_fringe<T>(t, n, nb);
   for (index_t s = 0; s < n; s += nb) {
     const index_t kb = std::min(nb, n - s);
     auto panel = a.block(s, s, m - s, kb);
-    geqrt_unblocked<T>(panel, t.block(s, s, kb, kb));
+    geqrt_unblocked<T>(panel, t.block(0, s, kb, kb));
     if (s + kb < n)
-      unmqr<T>(panel, t.block(s, s, kb, kb),
+      unmqr<T>(panel, t.block(0, s, kb, kb),
                a.block(s, s + kb, m - s, n - s - kb), Trans::kTrans, kb);
   }
 }
@@ -508,27 +539,28 @@ void tpqrt_leaf(MatrixView<T> r1, MatrixView<T> b, MatrixView<T> t,
 
 /// Pentagonal QR of [R1; B] in `ib`-wide panels (<= 0 selects kPanelBase,
 /// >= n runs one panel) through the recursive leaf. Storage contract
-/// matches tpqrt_unblocked, except that `t` holds only the panels' ib x ib
-/// diagonal blocks and zeros elsewhere. With l == n each panel [s, s+kb) is
+/// matches tpqrt_unblocked, except that `t` (at least nb x n) holds the
+/// panels' factors in the compact layout and zeros elsewhere in its top nb
+/// rows. With l == n each panel [s, s+kb) is
 /// itself a pentagon (B's dense rows above its kb x kb diagonal triangle,
 /// plus that triangle), so no panel reaches below B's diagonal.
 /// Apply with tpmqrt(..., l, trans, ib) using the same `l` and `ib`.
 template <typename T>
 void tpqrt(MatrixView<T> r1, MatrixView<T> b, MatrixView<T> t, index_t l,
            index_t ib) {
-  detail::require_tp_factor<T>(r1, b, t, l);
   const index_t n = r1.cols, m2 = b.rows;
-  const index_t nb = detail::inner_block_width(ib, n);
-  t.block(0, 0, n, n).fill(T(0));
+  const index_t nb = inner_block_width(ib, n);
+  detail::require_tp_factor<T>(r1, b, t, l, nb);
+  detail::zero_t_fringe<T>(t, n, nb);
   for (index_t s = 0; s < n; s += nb) {
     const index_t kb = std::min(nb, n - s);
     const index_t lb = l == 0 ? 0 : kb;
     const index_t mb = l == 0 ? m2 : m2 - n + s + kb;
     auto panel = b.block(0, s, mb, kb);
     detail::tpqrt_leaf<T>(r1.block(s, s, kb, kb), panel,
-                          t.block(s, s, kb, kb), lb);
+                          t.block(0, s, kb, kb), lb);
     if (s + kb < n)
-      tpmqrt<T>(panel, t.block(s, s, kb, kb),
+      tpmqrt<T>(panel, t.block(0, s, kb, kb),
                 r1.block(s, s + kb, kb, n - s - kb),
                 b.block(0, s + kb, mb, n - s - kb), lb, Trans::kTrans, kb);
   }

@@ -96,6 +96,8 @@ CompareResult compare(const std::map<std::string, Metric>& baseline,
                 "anchor metric '" + opts.anchor + "' missing from current");
     TQR_REQUIRE(b->second.value > 0,
                 "anchor metric '" + opts.anchor + "' is zero in baseline");
+    r.anchor_baseline = b->second.value;
+    r.anchor_current = c->second.value;
     r.anchor_scale = c->second.value / b->second.value;
   }
 
@@ -117,6 +119,7 @@ CompareResult compare(const std::map<std::string, Metric>& baseline,
     CompareResult::Line line;
     line.id = id;
     line.higher_is_better = base.higher_is_better;
+    line.baseline_raw = base.value;
     // The anchor measures machine speed, so it rescales rates directly and
     // inverse-times inversely; all compared metrics are rates (higher
     // better), but keep the direction handling for completeness.
@@ -150,17 +153,36 @@ std::string CompareResult::format() const {
     std::snprintf(buf, sizeof buf, "%+.1f%%", (ratio - 1.0) * 100.0);
     return std::string(buf);
   };
-  if (anchor_scale != 1.0) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.3f", anchor_scale);
+  const bool anchored = anchor_baseline > 0;
+  if (anchored) {
+    char buf[128];
+    std::snprintf(buf, sizeof buf, "%.4g / %.4g = %.3f", anchor_current,
+                  anchor_baseline, anchor_scale);
     os << "anchor scale (current/baseline machine speed): " << buf << "\n";
   }
   std::size_t width = 8;
   for (const Line& l : lines) width = std::max(width, l.id.size());
+  {
+    char head[160];
+    if (anchored)
+      std::snprintf(head, sizeof head,
+                    "%12s %12s %12s %12s %12s  %s", "base_raw", "cur_raw",
+                    "base_anchor", "cur_anchor", "base_scaled", "change");
+    else
+      std::snprintf(head, sizeof head, "%12s %12s  %s", "baseline",
+                    "current", "change");
+    os << "     " << std::string(width + 1, ' ') << head << "\n";
+  }
   for (const Line& l : lines) {
-    char vals[96];
-    std::snprintf(vals, sizeof vals, "%12.4g %12.4g  %s", l.baseline,
-                  l.current, pct(l.ratio).c_str());
+    char vals[160];
+    if (anchored)
+      std::snprintf(vals, sizeof vals,
+                    "%12.4g %12.4g %12.4g %12.4g %12.4g  %s", l.baseline_raw,
+                    l.current, anchor_baseline, anchor_current, l.baseline,
+                    pct(l.ratio).c_str());
+    else
+      std::snprintf(vals, sizeof vals, "%12.4g %12.4g  %s", l.baseline,
+                    l.current, pct(l.ratio).c_str());
     os << (l.regressed ? "FAIL " : "  ok ") << l.id
        << std::string(width - l.id.size() + 1, ' ') << vals << "\n";
   }

@@ -61,7 +61,8 @@ struct CompareOptions {
 struct CompareResult {
   struct Line {
     std::string id;
-    double baseline = 0;  // after anchor rescaling
+    double baseline_raw = 0;  // as read from the baseline file
+    double baseline = 0;      // after anchor rescaling
     double current = 0;
     double ratio = 0;  // current / adjusted baseline
     bool higher_is_better = true;
@@ -70,6 +71,9 @@ struct CompareResult {
   std::vector<Line> lines;            // every compared metric
   std::vector<std::string> missing;   // baseline-only metric ids
   std::vector<std::string> extra;     // current-only metric ids
+  /// Raw anchor values of both files (0 without an anchor); their ratio is
+  /// anchor_scale.
+  double anchor_baseline = 0, anchor_current = 0;
   double anchor_scale = 1.0;
   int regressions = 0;
   /// Intersection was empty (schema drift) — always fatal.
@@ -80,7 +84,10 @@ struct CompareResult {
   bool pass() const {
     return regressions == 0 && !schema_mismatch && !missing_fatal;
   }
-  /// Human-readable table + verdict, one metric per line.
+  /// Human-readable table + verdict, one metric per line. Every row shows
+  /// both files' raw values, and with an anchor both anchor values too, so
+  /// a ratio that leans on a noisy anchor reading can be told from a move
+  /// of the metric itself.
   std::string format() const;
 };
 

@@ -22,6 +22,8 @@ enum class JobStatus : std::uint8_t {
   kFailed,     // factorization threw; see error
   kCancelled,  // aborted mid-run: caller cancel, exec deadline, or shutdown
   kCorrupted,  // every attempt produced factors that failed verification
+  kInvalidInput,  // the input holds NaN or Inf (or, for fp32, values beyond
+                  // float range); rejected before factoring, never retried
 };
 
 inline const char* to_string(JobStatus s) {
@@ -32,6 +34,7 @@ inline const char* to_string(JobStatus s) {
     case JobStatus::kFailed: return "failed";
     case JobStatus::kCancelled: return "cancelled";
     case JobStatus::kCorrupted: return "corrupted";
+    case JobStatus::kInvalidInput: return "invalid_input";
   }
   return "?";
 }
@@ -175,7 +178,8 @@ struct JobResult {
   /// results survive a mid-batch cancel or a quarantined member.
   std::vector<la::Matrix<double>> batch_r;
   /// Per-problem terminal status: kOk, kCorrupted (that member failed its
-  /// verify tier), or kCancelled (cancel/deadline hit before its chunk ran).
+  /// verify tier), kInvalidInput (its input holds NaN or Inf; never
+  /// factored), or kCancelled (cancel/deadline hit before its chunk ran).
   std::vector<JobStatus> problem_status;
   int problems = 0;     // batch size (0 for single-matrix jobs)
   int problems_ok = 0;  // members whose R is valid

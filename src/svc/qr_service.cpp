@@ -49,6 +49,14 @@ std::string sci(double v) {
   return buf;
 }
 
+/// A job whose input holds a non-finite value (after narrowing, for fp32):
+/// terminal JobStatus::kInvalidInput, never retried, never held against the
+/// lane.
+class NonFiniteInput : public Error {
+ public:
+  explicit NonFiniteInput(const std::string& what) : Error(what) {}
+};
+
 /// Scalar Q replay against one batch member's extracted dense factor
 /// (R upper / V lower, unit diagonal implied): c <- Q c. Verification-only;
 /// O(m n) per column of c, so batching it buys nothing.
@@ -79,6 +87,7 @@ QrService::Metrics::Metrics(obs::Registry& r)
       cancelled(r.counter("jobs.cancelled")),
       retried(r.counter("jobs.retried")),
       corrupted(r.counter("jobs.corrupted")),
+      invalid_input(r.counter("jobs.invalid_input")),
       verify_failures(r.counter("verify.failures")),
       lane_quarantines(r.counter("lane.quarantines")),
       lane_probations(r.counter("lane.probations")),
@@ -349,6 +358,7 @@ void QrService::lane_main(int lane) {
       case JobStatus::kRejected: metrics_.rejected.inc(); break;
       case JobStatus::kCancelled: metrics_.cancelled.inc(); break;
       case JobStatus::kCorrupted: metrics_.corrupted.inc(); break;
+      case JobStatus::kInvalidInput: metrics_.invalid_input.inc(); break;
     }
     if (status == JobStatus::kOk) metrics_.job_s.observe(total_s);
     {
@@ -394,7 +404,8 @@ bool QrService::quarantine_gate(int lane) {
 void QrService::update_lane_health_locked(int lane, JobStatus status) {
   LaneHealth& h = lane_health_[static_cast<std::size_t>(lane)];
   // Only outcomes that indict the lane's execution count: cancellations and
-  // expirations are the caller's (or the clock's) doing, not the hardware's.
+  // expirations are the caller's (or the clock's) doing, and invalid input
+  // the submitter's, not the hardware's.
   const bool bad =
       status == JobStatus::kFailed || status == JobStatus::kCorrupted;
   const bool was_probation = h.probation;
@@ -533,6 +544,11 @@ JobResult QrService::process(LaneEngine& engine, int lane, PendingJob job,
       result.status = JobStatus::kCancelled;
       result.error = control.reason_text();
       break;
+    } catch (const NonFiniteInput& e) {
+      // The input, not the run, is at fault: every attempt would see it.
+      result.status = JobStatus::kInvalidInput;
+      result.error = e.what();
+      break;
     } catch (const TransientError& e) {
       // VerificationError is a TransientError on purpose: silent corruption
       // is transient by nature (a re-run on healthy silicon comes back
@@ -623,26 +639,22 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
   // abnormal exit returns zero-filled storage to the pool: half-written or
   // poisoned factors can never leak into a later lease (including this same
   // job's retry).
-  WorkspacePool::Lease ws = workspace_pool_.acquire(pr, pc, b);
+  //
+  // fp32 jobs factor in the lease's float planes and the factored planes
+  // are widened back into its fp64 planes after execution. float -> double
+  // is exact, so every downstream consumer — R extraction, the verification
+  // replays — sees precisely the reflectors the fp32 kernels wrote, just
+  // applied in fp64 arithmetic.
+  const la::index_t ib = config_.inner_block;
+  WorkspacePool::Lease ws = workspace_pool_.acquire(pr, pc, b, ib, fp32);
   ws.scrub_on_release(true);
-  la::load_padded(ws->a, a.view());
-
-  // fp32 jobs factor into dedicated float planes (the pooled workspace is
-  // fp64) and the factored planes are widened back into the lease after
-  // execution. float -> double is exact, so every downstream consumer — R
-  // extraction, the verification replays — sees precisely the reflectors
-  // the fp32 kernels wrote, just applied in fp64 arithmetic.
-  struct FloatPlanes {
-    la::TiledMatrix<float> a, tg, te;
-  };
-  std::unique_ptr<FloatPlanes> f32;
-  if (fp32) {
-    f32 = std::make_unique<FloatPlanes>(
-        FloatPlanes{la::TiledMatrix<float>(pr, pc, b),
-                    la::TiledMatrix<float>(pr, pc, b),
-                    la::TiledMatrix<float>(pr, pc, b)});
-    la::convert(ws->a, f32->a);
-  }
+  // Both packing passes report finiteness, so bad input is caught with no
+  // extra pass and never reaches a kernel, where it would read as
+  // corruption and indict a healthy lane.
+  if (!la::load_padded(ws->a, a.view()))
+    throw NonFiniteInput("invalid input: matrix holds NaN or Inf");
+  if (fp32 && !la::convert(ws->a, ws->a32))
+    throw NonFiniteInput("invalid input: matrix exceeds the fp32 range");
 
   const Verify verify = job.spec.verify;
   // Tier-1 baseline: orthogonal transforms preserve column 2-norms, so each
@@ -667,7 +679,6 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
   // exec deadline (measured from lane pickup), short-circuits once the token
   // latched (the executor then aborts without releasing successors), and
   // runs fault injection ahead of the real tile kernel.
-  const la::index_t ib = config_.inner_block;
   const double deadline_s = job.spec.exec_deadline_s;
   const int lane = result.lane;
 
@@ -678,18 +689,18 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
   // the bad tile. Cost: O(b^2) per written tile, a few percent of the O(b^3)
   // kernel it follows.
   const runtime::DagExecutor::Kernel scan_written_tiles =
-      [&ws, &f32](dag::task_id t, const dag::Task& task, int) {
+      [&ws, fp32](dag::task_id t, const dag::Task& task, int) {
         dag::TileAccess acc[5];
         const int n_acc = dag::tile_accesses(task, acc);
         for (int idx = 0; idx < n_acc; ++idx) {
           if (!acc[idx].write) continue;
           bool ok;
-          if (f32) {
+          if (fp32) {
             const la::TiledMatrix<float>& plane =
                 acc[idx].plane == dag::Plane::kA
-                    ? f32->a
-                    : (acc[idx].plane == dag::Plane::kTg ? f32->tg
-                                                         : f32->te);
+                    ? ws->a32
+                    : (acc[idx].plane == dag::Plane::kTg ? ws->tg32
+                                                         : ws->te32);
             ok = la::all_finite<float>(plane.tile(acc[idx].i, acc[idx].j));
           } else {
             const la::TiledMatrix<double>& plane =
@@ -714,7 +725,7 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
   Timer exec_clock;
   engine.execute(
       *graph, [](dag::task_id, const dag::Task&) { return 0; },
-      [this, &ws, &f32, ib, &control, picked_up_s, deadline_s, lane,
+      [this, &ws, fp32, ib, &control, picked_up_s, deadline_s, lane,
        corrupting](dag::task_id t, const dag::Task& task, int) {
         auto past_deadline = [&] {
           return deadline_s > 0 &&
@@ -742,8 +753,8 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
           throw Error("node down: injected crash at " + dag::to_string(task));
         }
         const double task_start_s = clock_.seconds();
-        if (f32)
-          core::execute_task<float>(task, f32->a, f32->tg, f32->te, ib);
+        if (fp32)
+          core::execute_task<float>(task, ws->a32, ws->tg32, ws->te32, ib);
         else
           core::execute_task<double>(task, ws->a, ws->tg, ws->te, ib);
         const double brown =
@@ -776,9 +787,9 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
           const int n_acc = dag::tile_accesses(task, acc);
           for (int idx = 0; idx < n_acc; ++idx) {
             if (acc[idx].plane == dag::Plane::kA && acc[idx].write) {
-              if (f32)
+              if (fp32)
                 fault_->maybe_corrupt(t, task, lane,
-                                      f32->a.tile(acc[idx].i, acc[idx].j));
+                                      ws->a32.tile(acc[idx].i, acc[idx].j));
               else
                 fault_->maybe_corrupt(t, task, lane,
                                       ws->a.tile(acc[idx].i, acc[idx].j));
@@ -794,9 +805,9 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
   if (fp32) {
     // Widen the factored planes back into the pooled workspace (exactly);
     // extraction and verification below run unchanged against the lease.
-    la::convert(f32->a, ws->a);
-    la::convert(f32->tg, ws->tg);
-    la::convert(f32->te, ws->te);
+    la::convert(ws->a32, ws->a);
+    la::convert(ws->tg32, ws->tg);
+    la::convert(ws->te32, ws->te);
   }
   if (trace_)
     obs::append_task_events(*trace_, task_trace.events(), *graph, b,
@@ -941,9 +952,9 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
     plan_cache_.get_or_build(key, &result.plan_cache_hit);
 
   // One WorkspacePool lease per batch: pooled fp64 interleaved factor
-  // storage. fp32 batches factor into transient float planes (the batched
-  // analogue of the single path's FloatPlanes) and widen back into the
-  // lease, so extraction and verification below read fp64 either way.
+  // storage. fp32 batches factor into transient float planes (unlike the
+  // single path, whose lease carries its float planes) and widen back into
+  // the lease, so extraction and verification below read fp64 either way.
   // The scrub stays armed until the batch finishes with every member
   // accounted for, same contract as the tiled lease.
   WorkspacePool::BatchLease ws = workspace_pool_.acquire_batch(m, n, count);
@@ -968,8 +979,11 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
   // abandons the rest at problem granularity. Loading happens per chunk
   // (members are scattered into their lanes, pad lanes zeroed so recycled
   // pool storage never feeds stale factors into the sweep).
+  // A member with a non-finite input is marked kInvalidInput as it loads
+  // and factors as a zero lane, so the rest of its chunk runs unaffected.
   Timer exec_clock;
   la::index_t done = 0;  // members whose chunk fully factored
+  std::vector<bool> invalid(static_cast<std::size_t>(count), false);
   auto factor_chunks = [&](auto& vr, auto& tau) {
     using Plane = std::decay_t<decltype(vr)>;
     using T = std::decay_t<decltype(*vr.data())>;
@@ -980,7 +994,10 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
       const la::index_t begin = c * width;
       const la::index_t end = std::min<la::index_t>(begin + width, count);
       for (la::index_t p = begin; p < end; ++p)
-        vr.load(p, batch[static_cast<std::size_t>(p)].view());
+        if (!vr.load(p, batch[static_cast<std::size_t>(p)].view())) {
+          invalid[static_cast<std::size_t>(p)] = true;
+          vr.clear(p);
+        }
       for (la::index_t p = end; p < begin + width; ++p) vr.clear(p);
       la::batch::qr_factor_chunk<T>(m, n, vr.chunk(c), tau.chunk(c));
       done = end;
@@ -1023,8 +1040,14 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
       fault_ && fault_->config().mode == FaultConfig::Mode::kCorrupt;
   la::Matrix<double> fac(m, n);
   la::AlignedVector<double> tau_p(static_cast<std::size_t>(n));
-  la::index_t bad = 0;
+  la::index_t bad = 0, rejected = 0;
   for (la::index_t p = 0; p < done; ++p) {
+    if (invalid[static_cast<std::size_t>(p)]) {
+      ++rejected;
+      result.problem_status[static_cast<std::size_t>(p)] =
+          JobStatus::kInvalidInput;
+      continue;
+    }
     ws->vr.extract(p, fac.view());
     for (la::index_t k = 0; k < n; ++k) tau_p[static_cast<std::size_t>(k)] =
         ws->tau.at(k, 0, p);
@@ -1142,7 +1165,8 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
 
   // One terminal status for the whole batch; the per-member truth is
   // problem_status. Cancellation dominates (the caller asked for it), then
-  // corruption (at least one member quarantined), then clean.
+  // corruption (at least one member quarantined), then invalid input (at
+  // least one member rejected unfactored), then clean.
   if (done < count) {
     result.status = JobStatus::kCancelled;
     result.error = control.reason_text();
@@ -1150,6 +1174,10 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
     result.status = JobStatus::kCorrupted;
     result.error = std::to_string(bad) + " of " + std::to_string(count) +
                    " problems failed verification";
+  } else if (rejected > 0) {
+    result.status = JobStatus::kInvalidInput;
+    result.error = std::to_string(rejected) + " of " + std::to_string(count) +
+                   " problems hold NaN or Inf";
   } else {
     result.status = JobStatus::kOk;
     // Every member verified clean, so the lease holds nothing a scrub
@@ -1195,6 +1223,7 @@ ServiceStats QrService::stats() const {
   s.jobs_cancelled = metrics_.cancelled.value();
   s.jobs_retried = metrics_.retried.value();
   s.jobs_corrupted = metrics_.corrupted.value();
+  s.jobs_invalid_input = metrics_.invalid_input.value();
   s.verify_failures = metrics_.verify_failures.value();
   s.lane_quarantines = metrics_.lane_quarantines.value();
   s.lane_probations = metrics_.lane_probations.value();

@@ -248,6 +248,7 @@ class QrService {
     obs::Counter& cancelled;
     obs::Counter& retried;
     obs::Counter& corrupted;
+    obs::Counter& invalid_input;
     obs::Counter& verify_failures;
     obs::Counter& lane_quarantines;
     obs::Counter& lane_probations;

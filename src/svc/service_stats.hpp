@@ -25,6 +25,7 @@ struct ServiceStats {
   std::uint64_t jobs_retried = 0;    // extra attempts after transient faults
   std::uint64_t faults_injected = 0; // delivered by the FaultInjector
   std::uint64_t jobs_corrupted = 0;  // every attempt failed verification
+  std::uint64_t jobs_invalid_input = 0;  // non-finite input, never factored
   /// Verification rejections across attempts (a retried-then-clean job
   /// contributes here without contributing to jobs_corrupted).
   std::uint64_t verify_failures = 0;

@@ -1,6 +1,7 @@
 #include "svc/workspace_pool.hpp"
 
 #include "common/error.hpp"
+#include "la/kernels.hpp"
 
 namespace tqr::svc {
 
@@ -22,10 +23,11 @@ WorkspacePool::WorkspacePool(std::size_t max_retained_bytes)
     : max_retained_bytes_(max_retained_bytes) {}
 
 WorkspacePool::Lease WorkspacePool::acquire(la::index_t rows, la::index_t cols,
-                                            la::index_t b) {
+                                            la::index_t b, la::index_t ib,
+                                            bool fp32) {
   TQR_REQUIRE(rows > 0 && cols > 0 && b > 0 && rows % b == 0 && cols % b == 0,
               "workspace dimensions must be positive tile multiples");
-  const ShapeKey key{rows, cols, b};
+  const ShapeKey key{rows, cols, b, la::inner_block_width(ib, b), fp32};
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = by_shape_.find(key);
@@ -45,10 +47,15 @@ WorkspacePool::Lease WorkspacePool::acquire(la::index_t rows, la::index_t cols,
   }
   // Allocate outside the lock; TiledMatrix zero-fills, which is the bulk of
   // the cost being amortized.
-  auto ws = std::make_unique<Workspace>(
-      Workspace{la::TiledMatrix<double>(rows, cols, b),
-                la::TiledMatrix<double>(rows, cols, b),
-                la::TiledMatrix<double>(rows, cols, b)});
+  auto ws = std::make_unique<Workspace>();
+  ws->a = la::TiledMatrix<double>(rows, cols, b);
+  ws->tg = la::t_plane<double>(rows, cols, b, ib);
+  ws->te = la::t_plane<double>(rows, cols, b, ib);
+  if (fp32) {
+    ws->a32 = la::TiledMatrix<float>(rows, cols, b);
+    ws->tg32 = la::t_plane<float>(rows, cols, b, ib);
+    ws->te32 = la::t_plane<float>(rows, cols, b, ib);
+  }
   return Lease(this, std::move(ws));
 }
 
@@ -61,6 +68,9 @@ void WorkspacePool::release(std::unique_ptr<Workspace> ws, bool scrub) {
     ws->a.fill(0.0);
     ws->tg.fill(0.0);
     ws->te.fill(0.0);
+    ws->a32.fill(0.0f);
+    ws->tg32.fill(0.0f);
+    ws->te32.fill(0.0f);
   }
   std::lock_guard<std::mutex> lock(mutex_);
   --stats_.outstanding;
@@ -69,7 +79,8 @@ void WorkspacePool::release(std::unique_ptr<Workspace> ws, bool scrub) {
     return;
   }
   if (scrub) ++stats_.scrubbed;
-  const ShapeKey key{ws->rows(), ws->cols(), ws->tile_size()};
+  const ShapeKey key{ws->rows(), ws->cols(), ws->tile_size(), ws->t_rows(),
+                     ws->fp32()};
   free_.push_front(FreeEntry{key, std::move(ws)});
   by_shape_[key].push_front(free_.begin());
   stats_.bytes_retained += bytes;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,6 +44,50 @@ svc::NodeFaultConfig crash_at(double at_s) {
   f.at_s = at_s;
   f.duration_s = 0;  // never recovers
   return f;
+}
+
+TEST(Failover, NonFiniteInputIsNeverFailedOverNorHeldAgainstANode) {
+  // A NaN job fails the same way on every node, so it is attempted on one
+  // node only, and a storm of them opens no breaker even at breaker_after
+  // = 1 with failover armed.
+  ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.policy = RouterPolicy::kRoundRobin;
+  cfg.node.lanes = 1;
+  cfg.node.quarantine_after = 1;
+  cfg.max_node_attempts = 3;
+  cfg.health.breaker_after = 1;
+  Cluster c(cfg);
+
+  std::vector<std::future<svc::JobResult>> futures;
+  for (int k = 0; k < 6; ++k) {
+    svc::JobSpec spec = job(64, 80 + k);
+    spec.verify = svc::Verify::kScan;
+    spec.a(k, k) = std::numeric_limits<double>::quiet_NaN();
+    futures.push_back(c.submit(std::move(spec)).future);
+  }
+  for (auto& f : futures) {
+    const auto r = f.get();
+    EXPECT_EQ(r.status, svc::JobStatus::kInvalidInput) << r.error;
+    EXPECT_EQ(r.attempts, 1);
+  }
+  c.drain();
+
+  const auto s = c.stats();
+  EXPECT_EQ(s.failovers, 0u);
+  EXPECT_EQ(s.node_quarantines, 0u);
+  EXPECT_EQ(s.nodes_quarantined, 0);
+  EXPECT_EQ(s.lanes_quarantined, 0);
+  std::uint64_t attempted = 0, invalid = 0;
+  for (const svc::ServiceStats& n : s.nodes) {
+    attempted += n.jobs_submitted;
+    invalid += n.jobs_invalid_input;
+  }
+  EXPECT_EQ(attempted, 6u);  // one node attempt per submission
+  EXPECT_EQ(invalid, 6u);
+  for (double rate : s.node_failure_rate) EXPECT_DOUBLE_EQ(rate, 0.0);
+  // A clean job still runs afterwards.
+  EXPECT_EQ(c.submit(job(64, 99)).future.get().status, svc::JobStatus::kOk);
 }
 
 TEST(Failover, ResubmitsAfterMidRunNodeCrash) {

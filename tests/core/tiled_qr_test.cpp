@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+
 #include "core/plan.hpp"
 #include "la/reference_qr.hpp"
 #include "runtime/dag_executor.hpp"
@@ -236,6 +239,53 @@ TEST(TiledQr, ParallelExecutionMatchesSequentialBitwise) {
     for (index_t i = 0; i < n; ++i)
       EXPECT_EQ(ts.at(i, j), tiles.at(i, j))
           << "tiles differ at " << i << "," << j;
+}
+
+TEST(TiledQr, SquareTPlanesMatchCompactBitwise) {
+  // execute_task accepts square b x b T tiles as well as la::t_plane's
+  // compact nb x b ones: the factors land in the top nb rows, A comes out
+  // bit-identical, and Q replays the same from either.
+  const int mt = 5, nt = 3, b = 40;
+  for (const la::index_t ib : {la::index_t(0), la::index_t(16),
+                               la::index_t(b)})
+    for (dag::Elimination elim :
+         {dag::Elimination::kTs, dag::Elimination::kTt}) {
+      const auto dense = Matrix<double>::random(mt * b, nt * b, 61 + ib);
+      const dag::TaskGraph graph = dag::build_tiled_qr_graph(mt, nt, elim);
+      auto a_sq = la::TiledMatrix<double>::from_dense(dense, b);
+      auto a_cp = a_sq;
+      la::TiledMatrix<double> tg_sq(mt * b, nt * b, b), te_sq = tg_sq;
+      auto tg_cp = la::t_plane<double>(mt * b, nt * b, b, ib);
+      auto te_cp = tg_cp;
+      for (const dag::Task& task : graph.tasks()) {
+        execute_task<double>(task, a_sq, tg_sq, te_sq, ib);
+        execute_task<double>(task, a_cp, tg_cp, te_cp, ib);
+      }
+      const la::index_t nb = la::inner_block_width(ib, b);
+      ASSERT_EQ(tg_cp.tile_height(), nb);
+      EXPECT_EQ(std::memcmp(a_sq.data(), a_cp.data(),
+                            a_sq.size() * sizeof(double)),
+                0);
+      for (auto [sq, cp] : {std::pair{&tg_sq, &tg_cp}, {&te_sq, &te_cp}})
+        for (int tj = 0; tj < nt; ++tj)
+          for (int ti = 0; ti < mt; ++ti)
+            for (la::index_t j = 0; j < b; ++j)
+              EXPECT_EQ(std::memcmp(&sq->tile(ti, tj)(0, j),
+                                    &cp->tile(ti, tj)(0, j),
+                                    nb * sizeof(double)),
+                        0)
+                  << "T tile (" << ti << "," << tj << ") column " << j;
+      auto c_sq = Matrix<double>::random(mt * b, 3, 62);
+      auto c_cp = c_sq;
+      apply_q_tiles<double>(graph, a_sq, tg_sq, te_sq, c_sq.view(),
+                            Trans::kNoTrans, ib);
+      apply_q_tiles<double>(graph, a_cp, tg_cp, te_cp, c_cp.view(),
+                            Trans::kNoTrans, ib);
+      EXPECT_EQ(std::memcmp(c_sq.data(), c_cp.data(),
+                            static_cast<std::size_t>(mt) * b * 3 *
+                                sizeof(double)),
+                0);
+    }
 }
 
 TEST(TiledQr, WideMatrixRejected) {

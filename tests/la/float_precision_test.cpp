@@ -5,7 +5,6 @@
 
 #include "core/tiled_cholesky.hpp"
 #include "core/tiled_qr.hpp"
-#include "la/blocked_qr.hpp"
 #include "la/checks.hpp"
 #include "la/cholesky.hpp"
 #include "la/generators.hpp"
@@ -65,9 +64,12 @@ TEST(FloatPaths, ReferenceQrFloat) {
 }
 
 TEST(FloatPaths, BlockedQrFloat) {
+  // Whole-matrix blocked QR: geqrt with panel width 8, Q through unmqr.
   auto a = random_f(40, 24, 2);
-  BlockedQr<float> qr(a, 8);
-  auto q = qr.q();
+  Matrix<float> t(8, 24);
+  geqrt<float>(a.view(), t.view(), 8);
+  Matrix<float> q = Matrix<float>::identity(40);
+  unmqr<float>(a.view(), t.view(), q.view(), Trans::kNoTrans, 8);
   EXPECT_LT(orthogonality_residual<float>(q.view()),
             residual_tolerance<float>(40));
 }

@@ -1,7 +1,8 @@
 // Parity of the inner-blocked factor kernels (geqrt and tpqrt panels, TS and
 // TT shapes) against the unblocked reference kernels. Both compute the same
 // Householder reflectors in the same order, so V, R, and the action of Q
-// (T applied with the factor's ib) must agree to machine precision — not
+// (T applied with the factor's ib; the unblocked kernels' full T as one
+// block) must agree to machine precision — not
 // just produce *a* valid QR. Swept over widths that hit every blocking shape
 // (ib = 1 narrowest, ib = b degenerate to unblocked) and over fringe /
 // tall-skinny tile geometries.
@@ -59,10 +60,10 @@ TEST_P(RecursiveGeqrt, MatchesUnblocked) {
   EXPECT_LT(max_row_sign_diff(rec, ref), tolerance<double>(m));
 
   // T must also match: apply Q^T from each factor set to the original
-  // tile; both must reduce it to [R; 0].
+  // tile; both must reduce it to [R; 0]. The unblocked full T is one block.
   Matrix<double> qa_rec = a0, qa_ref = a0;
   unmqr<double>(rec.view(), t_rec.view(), qa_rec.view(), Trans::kTrans, ib);
-  unmqr<double>(ref.view(), t_ref.view(), qa_ref.view(), Trans::kTrans, 0);
+  unmqr<double>(ref.view(), t_ref.view(), qa_ref.view(), Trans::kTrans, n);
   for (index_t j = 0; j < n; ++j)
     for (index_t i = n; i < m; ++i) {
       EXPECT_NEAR(qa_rec(i, j), 0.0, tolerance<double>(m)) << i << "," << j;
@@ -121,7 +122,7 @@ TEST_P(RecursiveWidths, TsqrtMatchesUnblocked) {
     tpmqrt<double>(a2_rec.view(), t_rec.view(), c1_rec.view(), c2_rec.view(), 0,
                    Trans::kTrans, ib);
     tpmqrt<double>(a2_ref.view(), t_ref.view(), c1_ref.view(), c2_ref.view(), 0,
-                   Trans::kTrans, 0);
+                   Trans::kTrans, b);
     EXPECT_LT(relative_error<double>(c1_rec.view(), c1_ref.view()),
               tolerance<double>(m2 + b));
     EXPECT_LT(relative_error<double>(c2_rec.view(), c2_ref.view()),

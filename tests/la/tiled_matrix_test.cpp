@@ -18,6 +18,28 @@ TEST(TiledMatrix, GeometryAccessors) {
   EXPECT_EQ(t.tile_bytes(), 4u * 4u * sizeof(double));
 }
 
+TEST(TiledMatrix, FlatTilesHoldHeightByWidthColumnMajor) {
+  // 3 x 2 tiles of 2 x 4 (a compact T plane's shape: nb x b per tile).
+  TiledMatrix<double> t(6, 8, 2, 4);
+  EXPECT_EQ(t.tile_height(), 2);
+  EXPECT_EQ(t.tile_size(), 4);
+  EXPECT_EQ(t.tile_rows(), 3);
+  EXPECT_EQ(t.tile_cols(), 2);
+  EXPECT_EQ(t.size(), 48u);
+  EXPECT_EQ(t.tile_bytes(), 2u * 4u * sizeof(double));
+  auto tile = t.tile(2, 1);
+  EXPECT_EQ(tile.rows, 2);
+  EXPECT_EQ(tile.cols, 4);
+  EXPECT_EQ(tile.ld, 2);
+  tile(1, 3) = 9.0;
+  EXPECT_EQ(t.at(2 * 2 + 1, 4 + 3), 9.0);
+  EXPECT_EQ(t.tile_data(2, 1)[3 * 2 + 1], 9.0);
+  EXPECT_EQ(t.tile_data(2, 1) - t.data(), (1 * 3 + 2) * 8);
+  EXPECT_EQ(t.column_segment(4, 7), &tile(0, 3));
+  EXPECT_EQ(t.to_dense()(5, 7), 9.0);
+  EXPECT_THROW(TiledMatrix<double>(5, 8, 2, 4), InvalidArgument);
+}
+
 TEST(TiledMatrix, NonDivisibleSizeRejected) {
   EXPECT_THROW(TiledMatrix<double>(10, 8, 4), InvalidArgument);
   EXPECT_THROW(TiledMatrix<double>(8, 10, 4), InvalidArgument);

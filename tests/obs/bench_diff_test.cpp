@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "obs/json.hpp"
 
@@ -210,6 +212,33 @@ TEST(ExtractMetrics, BatchedProblemRatesExtractAsRates) {
   EXPECT_TRUE(m.at("batched.s8.problems_per_s").higher_is_better);
   EXPECT_TRUE(m.at("batched.s8.loop_problems_per_s").higher_is_better);
   EXPECT_EQ(m.count("batch"), 0u);  // config scalar, not a gated metric
+}
+
+TEST(BenchDiff, ReportShowsRawValuesAndBothAnchorsPerRow) {
+  // An anchored ratio leans on the anchor's own reading, so each row shows
+  // the raw values of both files and both anchor values beside it.
+  const auto base = metrics_of(kernels_doc(1.0));
+  auto current = metrics_of(kernels_doc(0.5));
+  current["gflops.gemm_packed.t64"].value = 30.0;
+  CompareOptions opts;
+  opts.anchor = "gflops.gemm_naive.t128";
+  const auto r = compare(base, current, opts);
+  EXPECT_DOUBLE_EQ(r.anchor_baseline, 16.0);
+  EXPECT_DOUBLE_EQ(r.anchor_current, 8.0);
+  const auto line = std::find_if(r.lines.begin(), r.lines.end(),
+                                 [](const CompareResult::Line& l) {
+                                   return l.id == "gflops.gemm_packed.t64";
+                                 });
+  ASSERT_NE(line, r.lines.end());
+  EXPECT_DOUBLE_EQ(line->baseline_raw, 45.0);
+  EXPECT_DOUBLE_EQ(line->baseline, 22.5);
+  const std::string text = r.format();
+  const auto row = text.find("gflops.gemm_packed.t64");
+  ASSERT_NE(row, std::string::npos);
+  const std::string row_text = text.substr(row, text.find('\n', row) - row);
+  for (const char* v : {"45", "30", "16", "8", "22.5", "+33.3%"})
+    EXPECT_NE(row_text.find(v), std::string::npos) << v << " in " << row_text;
+  EXPECT_NE(text.find("base_raw"), std::string::npos);
 }
 
 TEST(BenchDiff, AnchorMustExistOnBothSides) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -202,6 +203,35 @@ TEST(ServiceBatch, CorruptedMemberQuarantinesAloneUnderScan) {
         << "member " << p;
   expect_member_parity(result, problems, la::verify_tolerance<double>(24));
   EXPECT_EQ(service.stats().verify_failures, 1u);
+}
+
+TEST(ServiceBatch, NonFiniteMembersAreRejectedAloneAndTheRestRun) {
+  // Members 2 (NaN) and 9 (Inf) are the submitter's fault: they come back
+  // kInvalidInput unfactored, the other members of their chunks factor
+  // normally, and nothing is held against the lane or the verify tier.
+  ServiceConfig config;
+  config.quarantine_after = 1;
+  QrService service{config};
+  auto problems = random_batch(12, 12, 11, 700);
+  problems[2](4, 4) = std::numeric_limits<double>::quiet_NaN();
+  problems[9](0, 11) = std::numeric_limits<double>::infinity();
+  JobSpec spec;
+  spec.batch = problems;
+  spec.verify = Verify::kProbe;
+  const auto result = service.submit(std::move(spec)).get();
+  EXPECT_EQ(result.status, JobStatus::kInvalidInput) << result.error;
+  EXPECT_EQ(result.problems_ok, 9);
+  ASSERT_EQ(result.problem_status.size(), 11u);
+  for (std::size_t p = 0; p < 11; ++p)
+    EXPECT_EQ(result.problem_status[p], p == 2 || p == 9
+                                            ? JobStatus::kInvalidInput
+                                            : JobStatus::kOk)
+        << "member " << p;
+  expect_member_parity(result, problems, la::verify_tolerance<double>(24));
+  const auto s = service.stats();
+  EXPECT_EQ(s.verify_failures, 0u);
+  EXPECT_EQ(s.jobs_invalid_input, 1u);
+  EXPECT_EQ(s.lane_quarantines, 0u);
 }
 
 TEST(ServiceBatch, ProbeCatchesAPerturbedMember) {

@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,6 +58,75 @@ TEST(ServiceVerify, UnverifiedCorruptionPassesSilently) {
   ASSERT_EQ(r.status, JobStatus::kOk) << r.error;
   EXPECT_FALSE(r.residual <= la::verify_tolerance<double>(64 + 16));
   EXPECT_GE(service.stats().faults_injected, 1u);
+}
+
+// ---- Bad input is not bad hardware ----------------------------------------
+
+TEST(ServiceInvalidInput, NaNStormQuarantinesNoLane) {
+  // With the scan tier on and a hair-trigger breaker, non-finite inputs
+  // used to read as corruption and quarantine healthy lanes. They resolve
+  // kInvalidInput at load time instead: one attempt, no verification
+  // failure, no lane held against them, and the clean jobs around them run.
+  ServiceConfig config;
+  config.lanes = 2;
+  config.quarantine_after = 1;
+  QrService service(config);
+  std::vector<std::future<JobResult>> bad, good;
+  for (int k = 0; k < 12; ++k) {
+    JobSpec spec = spec_for(64, 48, 400 + k);
+    spec.verify = Verify::kScan;
+    spec.max_attempts = 3;
+    if (k % 3 != 2) {
+      spec.a(k % 64, k % 48) = std::numeric_limits<double>::quiet_NaN();
+      bad.push_back(service.submit(std::move(spec)));
+    } else {
+      good.push_back(service.submit(std::move(spec)));
+    }
+  }
+  for (auto& f : bad) {
+    const auto r = f.get();
+    EXPECT_EQ(r.status, JobStatus::kInvalidInput) << r.error;
+    EXPECT_EQ(r.attempts, 1);
+    EXPECT_EQ(r.r.rows(), 0);
+    EXPECT_NE(r.error.find("NaN or Inf"), std::string::npos) << r.error;
+  }
+  for (auto& f : good) EXPECT_EQ(f.get().status, JobStatus::kOk);
+  service.drain();
+  const auto s = service.stats();
+  EXPECT_EQ(s.jobs_invalid_input, bad.size());
+  EXPECT_EQ(s.jobs_failed, 0u);
+  EXPECT_EQ(s.jobs_corrupted, 0u);
+  EXPECT_EQ(s.jobs_retried, 0u);
+  EXPECT_EQ(s.verify_failures, 0u);
+  EXPECT_EQ(s.lane_quarantines, 0u);
+  EXPECT_EQ(s.lanes_quarantined, 0);
+}
+
+TEST(ServiceInvalidInput, InfRejectedWithoutVerification) {
+  // verify = none trusts the kernels, not the caller: an Inf input used to
+  // come back kOk with garbage factors.
+  QrService service(ServiceConfig{});
+  JobSpec spec = spec_for(64, 64, 410);
+  spec.a(5, 7) = -std::numeric_limits<double>::infinity();
+  ASSERT_EQ(spec.verify, Verify::kNone);
+  const auto r = service.submit(std::move(spec)).get();
+  EXPECT_EQ(r.status, JobStatus::kInvalidInput) << r.error;
+  EXPECT_EQ(r.r.rows(), 0);
+  EXPECT_STREQ(to_string(r.status), "invalid_input");
+}
+
+TEST(ServiceInvalidInput, Fp32RejectsValuesBeyondFloatRange) {
+  // Finite in fp64 but Inf once narrowed: the fp32 pack reports it.
+  QrService service(ServiceConfig{});
+  JobSpec spec = spec_for(64, 64, 411);
+  spec.precision = Precision::kFp32;
+  spec.a(3, 3) = 1e300;
+  const auto r = service.submit(std::move(spec)).get();
+  EXPECT_EQ(r.status, JobStatus::kInvalidInput) << r.error;
+  // The same matrix is fine in fp64.
+  JobSpec wide = spec_for(64, 64, 411);
+  wide.a(3, 3) = 1e300;
+  EXPECT_EQ(service.submit(std::move(wide)).get().status, JobStatus::kOk);
 }
 
 TEST(ServiceVerify, ScanCatchesNaNPoison) {

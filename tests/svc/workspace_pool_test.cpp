@@ -20,6 +20,41 @@ TEST(WorkspacePool, AcquireAllocatesCorrectShapes) {
   EXPECT_EQ(pool.stats().outstanding, 1u);
 }
 
+TEST(WorkspacePool, LeaseHoldsAPlusTwoCompactTPlanes) {
+  // An 8192 x 256 job at b = 128, ib = 32: A (16 MiB) plus two T planes of
+  // one 32 x 128 factor per tile (4 MiB each), 25.2 MB in all — not three
+  // full 16 MiB planes (50.3 MB).
+  WorkspacePool pool(256 * kMB);
+  auto ws = pool.acquire(8192, 256, 128, 32);
+  EXPECT_EQ(ws->tg.tile_height(), 32);
+  EXPECT_EQ(ws->te.tile_size(), 128);
+  EXPECT_EQ(ws->te.rows(), 64 * 32);
+  EXPECT_EQ(ws->te.cols(), 256);
+  EXPECT_FALSE(ws->fp32());
+  const std::size_t a_bytes = std::size_t{8192} * 256 * sizeof(double);
+  const std::size_t t_bytes = std::size_t{64} * 2 * 32 * 128 * sizeof(double);
+  EXPECT_EQ(ws->bytes(), a_bytes + 2 * t_bytes);
+  EXPECT_EQ(ws->bytes(), 25165824u);
+
+  // fp32 leases add the float twins of all three planes.
+  auto ws32 = pool.acquire(8192, 256, 128, 32, /*fp32=*/true);
+  EXPECT_TRUE(ws32->fp32());
+  EXPECT_EQ(ws32->tg32.tile_height(), 32);
+  EXPECT_EQ(ws32->bytes(), 25165824u + 25165824u / 2);
+}
+
+TEST(WorkspacePool, InnerBlockAndPrecisionArePartOfTheShape) {
+  WorkspacePool pool(64 * kMB);
+  { auto ws = pool.acquire(64, 64, 32, 8); }
+  { auto ws = pool.acquire(64, 64, 32, 16); }  // other nb: fresh
+  { auto ws = pool.acquire(64, 64, 32, 8, /*fp32=*/true); }  // fresh
+  EXPECT_EQ(pool.stats().allocated, 3u);
+  auto ws = pool.acquire(64, 64, 32, 8);
+  EXPECT_EQ(pool.stats().reused, 1u);
+  EXPECT_EQ(ws->tg.tile_height(), 8);
+  EXPECT_FALSE(ws->fp32());
+}
+
 TEST(WorkspacePool, ReleaseThenAcquireRecycles) {
   WorkspacePool pool(64 * kMB);
   double* data = nullptr;

@@ -637,7 +637,7 @@ int cmd_serve(int argc, char** argv) {
   service.drain();
 
   int ok = 0, failed = 0, rejected = 0, expired = 0, cancelled = 0,
-      corrupted = 0;
+      corrupted = 0, invalid = 0;
   long long problems_ok = 0, problems_total = 0;
   double worst_residual = -1;
   for (auto& f : futures) {
@@ -651,10 +651,12 @@ int cmd_serve(int argc, char** argv) {
       case svc::JobStatus::kExpired: ++expired; break;
       case svc::JobStatus::kCancelled: ++cancelled; break;
       case svc::JobStatus::kCorrupted: ++corrupted; break;
+      case svc::JobStatus::kInvalidInput: ++invalid; break;
     }
     if (r.residual > worst_residual) worst_residual = r.residual;
     if (r.status == svc::JobStatus::kFailed ||
-        r.status == svc::JobStatus::kCorrupted)
+        r.status == svc::JobStatus::kCorrupted ||
+        r.status == svc::JobStatus::kInvalidInput)
       std::fprintf(stderr, "job %llu %s: %s\n",
                    static_cast<unsigned long long>(r.id),
                    svc::to_string(r.status), r.error.c_str());
@@ -682,7 +684,7 @@ int cmd_serve(int argc, char** argv) {
     std::printf(
         "{\"jobs\": {\"submitted\": %llu, \"ok\": %d, \"failed\": %d, "
         "\"rejected\": %d, \"expired\": %d, \"cancelled\": %d, "
-        "\"corrupted\": %d, \"retried\": %llu},\n"
+        "\"corrupted\": %d, \"invalid_input\": %d, \"retried\": %llu},\n"
         " \"faults_injected\": %llu,\n"
         " \"verification\": {\"tier\": \"%s\", \"failures\": %llu},\n"
         " \"lanes\": {\"total\": %d, \"quarantined\": %d, "
@@ -698,7 +700,7 @@ int cmd_serve(int argc, char** argv) {
         "\"problems_ok\": %lld, \"occupancy\": %.4f},\n"
         " \"worst_residual\": %.3e}\n",
         static_cast<unsigned long long>(s.jobs_submitted), ok, failed,
-        rejected, expired, cancelled, corrupted,
+        rejected, expired, cancelled, corrupted, invalid,
         static_cast<unsigned long long>(s.jobs_retried),
         static_cast<unsigned long long>(s.faults_injected),
         svc::to_string(verify),
@@ -718,13 +720,13 @@ int cmd_serve(int argc, char** argv) {
         static_cast<unsigned long long>(s.batched_jobs),
         static_cast<unsigned long long>(s.batched_problems), problems_ok,
         s.batch_occupancy, worst_residual);
-    return corrupted > 0 || failed > 0 ? 2 : 0;
+    return corrupted > 0 || failed > 0 || invalid > 0 ? 2 : 0;
   }
 
   std::printf("served %llu jobs on %d lanes: %d ok, %d failed, %d rejected, "
-              "%d expired, %d cancelled, %d corrupted\n",
+              "%d expired, %d cancelled, %d corrupted, %d invalid input\n",
               static_cast<unsigned long long>(s.jobs_submitted), s.lanes, ok,
-              failed, rejected, expired, cancelled, corrupted);
+              failed, rejected, expired, cancelled, corrupted, invalid);
   if (s.faults_injected > 0 || s.jobs_retried > 0)
     std::printf("faults          %llu injected, %llu retried attempts\n",
                 static_cast<unsigned long long>(s.faults_injected),
@@ -764,7 +766,7 @@ int cmd_serve(int argc, char** argv) {
                 problems_total, s.batch_occupancy);
   if (residual && worst_residual >= 0)
     std::printf("worst residual  %.3e\n", worst_residual);
-  return corrupted > 0 || failed > 0 ? 2 : 0;
+  return corrupted > 0 || failed > 0 || invalid > 0 ? 2 : 0;
 }
 
 int cmd_cluster(int argc, char** argv) {
