@@ -1,7 +1,7 @@
 // bench_diff — the perf-regression comparator behind CI's perf gate.
 //
-//   bench_diff --baseline BENCH_kernels.json --current fresh.json \
-//              [--tolerance 0.35] [--anchor gflops.gemm_naive.t128] \
+//   bench_diff --baseline BENCH_kernels.json --current fresh.json
+//              [--tolerance 0.35] [--anchor gflops.gemm_naive.t128]
 //              [--only geqrt,tsqrt] [--require-all]
 //   bench_diff --current fresh.json --write-baseline BENCH_kernels.json
 //   bench_diff --current fresh.json --list

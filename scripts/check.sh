@@ -116,7 +116,7 @@ if [[ "$MODE" == "perf" ]]; then
     --baseline "$REPO_DIR/BENCH_kernels.json" \
     --current "$OUT_DIR/batched_current.json" \
     --tolerance "${BATCHED_TOLERANCE:-0.40}" \
-    --anchor batched.s8.loop_problems_per_s \
+    --anchor batched.yardstick.gemm_naive_gflops \
     --only batched
 
   echo "== serve trace smoke =="

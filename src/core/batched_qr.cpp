@@ -1,35 +1,11 @@
 #include "core/batched_qr.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstddef>
 
 #include "common/error.hpp"
+#include "la/checks.hpp"
 
 namespace tqr::core {
-namespace {
-
-/// Scalar reflector replay on one extracted dense factor: c <- Q c
-/// (reverse order) or Q^T c (forward). Used only for per-problem residuals,
-/// where work is O(m n) per problem and batching buys nothing.
-template <typename T>
-void apply_q_dense(const la::Matrix<T>& fac, const la::AlignedVector<T>& tau,
-                   la::Matrix<T>& c, bool transpose) {
-  const la::index_t m = fac.rows();
-  const la::index_t n = fac.cols();
-  for (la::index_t step = 0; step < n; ++step) {
-    const la::index_t k = transpose ? step : n - 1 - step;
-    for (la::index_t j = 0; j < c.cols(); ++j) {
-      T w = c(k, j);
-      for (la::index_t i = k + 1; i < m; ++i) w += fac(i, k) * c(i, j);
-      w *= tau[static_cast<std::size_t>(k)];
-      c(k, j) -= w;
-      for (la::index_t i = k + 1; i < m; ++i) c(i, j) -= w * fac(i, k);
-    }
-  }
-}
-
-}  // namespace
 
 template <typename T>
 BatchedQr<T> BatchedQr<T>::factor(const std::vector<la::Matrix<T>>& problems) {
@@ -100,32 +76,11 @@ double BatchedQr<T>::residual(la::index_t p, const la::Matrix<T>& a) const {
   const la::index_t n = cols();
   TQR_REQUIRE(a.rows() == m && a.cols() == n,
               "BatchedQr::residual: matrix shape mismatch");
-  la::Matrix<T> fac(m, n);
-  la::AlignedVector<T> tau(static_cast<std::size_t>(n));
-  vr_.extract(p, fac.view());
-  for (la::index_t k = 0; k < n; ++k)
-    tau[static_cast<std::size_t>(k)] = tau_.at(k, 0, p);
   la::Matrix<T> qr(m, n);  // [R; 0], then Q applied in place
   for (la::index_t j = 0; j < n; ++j)
-    for (la::index_t i = 0; i <= (j < m ? j : m - 1); ++i)
-      qr(i, j) = fac(i, j);
-  apply_q_dense(fac, tau, qr, /*transpose=*/false);
-  // Both norms are taken relative to A's max-abs entry, so their squares
-  // neither overflow nor underflow at the ends of T's range.
-  double amax = 0;
-  for (la::index_t j = 0; j < n; ++j)
-    for (la::index_t i = 0; i < m; ++i)
-      amax = std::max(amax, std::abs(static_cast<double>(a(i, j))));
-  const double unit = amax > 0 ? amax : 1.0;
-  double diff2 = 0, ref2 = 0;
-  for (la::index_t j = 0; j < n; ++j)
-    for (la::index_t i = 0; i < m; ++i) {
-      const double d = (static_cast<double>(qr(i, j)) - a(i, j)) / unit;
-      const double r = static_cast<double>(a(i, j)) / unit;
-      diff2 += d * d;
-      ref2 += r * r;
-    }
-  return ref2 > 0 ? std::sqrt(diff2 / ref2) : std::sqrt(diff2);
+    for (la::index_t i = 0; i <= j; ++i) qr(i, j) = vr_.at(i, j, p);
+  la::batch::apply_q_member(vr_, tau_, p, qr.view());
+  return la::relative_error<T>(qr.view(), a.view());
 }
 
 template class BatchedQr<double>;

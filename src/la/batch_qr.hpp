@@ -306,6 +306,33 @@ void apply_q_chunk(index_t m, index_t n, const T* a, const T* tau, T* c,
     detail::apply_reflector_chunk(m, n, a, tau, c, nrhs, k);
 }
 
+/// c <- Q_p c for problem p alone: its reflectors, read in place from the
+/// factored storage (vr from qr_factor_chunk, tau n x 1 per problem),
+/// replayed in reverse by scalar code. c is rows x k. For residuals and
+/// verification, where one problem is the unit of work and interleaving
+/// buys nothing.
+template <typename T>
+void apply_q_member(const BatchMatrix<T>& vr, const BatchMatrix<T>& tau,
+                    index_t p, MatrixView<T> c) {
+  constexpr index_t W = BatchMatrix<T>::kWidth;
+  const index_t m = vr.rows();
+  TQR_REQUIRE(c.rows == m, "apply_q_member: c must have the problem's rows");
+  const T* lane = vr.chunk(p / W) + p % W;
+  auto v = [&](index_t i, index_t k) {
+    return lane[(static_cast<std::size_t>(k) * m + i) * W];
+  };
+  for (index_t k = vr.cols() - 1; k >= 0; --k) {
+    const T tk = tau.at(k, 0, p);
+    for (index_t j = 0; j < c.cols; ++j) {
+      T w = c(k, j);
+      for (index_t i = k + 1; i < m; ++i) w += v(i, k) * c(i, j);
+      w *= tk;
+      c(k, j) -= w;
+      for (index_t i = k + 1; i < m; ++i) c(i, j) -= w * v(i, k);
+    }
+  }
+}
+
 /// Back-substitutes R x = c(0:n, :) per lane, writing x over c(0:n, :).
 /// A lane whose R has a zero diagonal yields inf/nan for that lane only —
 /// detecting that is the caller's verification tier, not this kernel's.

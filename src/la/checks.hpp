@@ -10,8 +10,12 @@
 //           sides of A = Q R; ~n x cheaper than the full reconstruction
 //           residual yet flags any corruption that perturbs the factors'
 //           action on a random direction (all but measure-zero cases).
+//   tier 3  relative_error of Q R against A — the reconstruction residual.
+// These three are scale-safe (see detail::norm_scale): they read the same
+// at any finite scale of A, from subnormal entries to 2^1000.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.hpp"
@@ -73,19 +77,42 @@ bool all_finite(ConstMatrixView<T> a) {
   return true;
 }
 
+namespace detail {
+
+/// 2^-e for the exponent e of max|a| (max|a| in [2^e, 2^(e+1))), or 1 when a
+/// is zero or holds an infinity (NaNs are skipped here and propagate through
+/// the sums that use the scale). Scaling by a power of two is exact,
+/// and scaled entries are at most 2 in magnitude, so sums of their squares
+/// neither overflow nor underflow anywhere in the floating-point range. e is
+/// clamped at -1022 so the scale itself stays finite when max|a| is
+/// subnormal; the scaled max is then still >= 2^-52.
+template <typename T>
+double norm_scale(ConstMatrixView<T> a) {
+  double amax = 0;
+  for (index_t j = 0; j < a.cols; ++j)
+    for (index_t i = 0; i < a.rows; ++i)
+      amax = std::max(amax, std::abs(static_cast<double>(a(i, j))));
+  if (!(amax > 0) || !std::isfinite(amax)) return 1.0;
+  return std::ldexp(1.0, -std::max(std::ilogb(amax), -1022));
+}
+
+}  // namespace detail
+
 /// ||approx - exact||_F / ||exact||_F (1 when exact is zero but approx is
-/// not; 0 when both are zero). Shapes must match.
+/// not; 0 when both are zero). Shapes must match. Both norms are taken on
+/// entries scaled by detail::norm_scale(exact), so the ratio is exact to
+/// rounding at any finite scale.
 template <typename T>
 double relative_error(ConstMatrixView<T> approx, ConstMatrixView<T> exact) {
   TQR_REQUIRE(approx.rows == exact.rows && approx.cols == exact.cols,
               "relative_error: shape mismatch");
+  const double s = detail::norm_scale(exact);
   double diff2 = 0, norm2 = 0;
   for (index_t j = 0; j < exact.cols; ++j) {
     for (index_t i = 0; i < exact.rows; ++i) {
-      const double d =
-          static_cast<double>(approx(i, j)) - static_cast<double>(exact(i, j));
+      const double e = static_cast<double>(exact(i, j)) * s;
+      const double d = static_cast<double>(approx(i, j)) * s - e;
       diff2 += d * d;
-      const double e = static_cast<double>(exact(i, j));
       norm2 += e * e;
     }
   }
@@ -98,25 +125,29 @@ double relative_error(ConstMatrixView<T> approx, ConstMatrixView<T> exact) {
 /// max_j | ||R_j|| - ||A_j|| | / ||A||_F — normalized by the whole-matrix
 /// norm (not per column) so small-norm columns cannot amplify rounding into
 /// a false positive. r may be r.rows x n upper-trapezoidal (only entries
-/// with i <= j are read); a is m x n.
+/// with i <= j are read); a is m x n. Every norm is taken on entries scaled
+/// by detail::norm_scale(a), so the statistic holds at any finite scale.
 template <typename T>
 double column_norm_drift(ConstMatrixView<T> a, ConstMatrixView<T> r) {
   TQR_REQUIRE(a.cols == r.cols, "column_norm_drift: column count mismatch");
+  const double s = detail::norm_scale(a);
   double afro2 = 0;
   double worst = 0;
   for (index_t j = 0; j < a.cols; ++j) {
     double aj2 = 0;
     for (index_t i = 0; i < a.rows; ++i) {
-      const double v = static_cast<double>(a(i, j));
+      const double v = static_cast<double>(a(i, j)) * s;
       aj2 += v * v;
     }
     afro2 += aj2;
     double rj2 = 0;
     for (index_t i = 0; i <= j && i < r.rows; ++i) {
-      const double v = static_cast<double>(r(i, j));
+      const double v = static_cast<double>(r(i, j)) * s;
       rj2 += v * v;
     }
-    worst = std::max(worst, std::abs(std::sqrt(rj2) - std::sqrt(aj2)));
+    const double d = std::abs(std::sqrt(rj2) - std::sqrt(aj2));
+    if (std::isnan(d)) return d;  // a NaN in R is drift, never a pass
+    worst = std::max(worst, d);
   }
   return afro2 > 0 ? worst / std::sqrt(afro2) : worst;
 }

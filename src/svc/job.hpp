@@ -159,7 +159,8 @@ struct JobResult {
   /// Upper-triangular R factor, cols x cols (leading block of the padded
   /// factorization). Empty unless status == kOk.
   la::Matrix<double> r;
-  /// ||A - Q R||_F / ||A||_F over the padded matrix; -1 if not requested.
+  /// ||A - Q R||_F / ||A||_F for the caller's A and R (a tiled job's
+  /// identity pad is not counted); -1 if not requested.
   double residual = -1;
   /// Verification statistic from the last attempt (probe or full relative
   /// residual, depending on tier); -1 when verify < kProbe.

@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <thread>
 #include <utility>
 
 #include "common/error.hpp"
-#include "core/batched_qr.hpp"
 #include "core/tiled_qr.hpp"
 #include "dag/task_accesses.hpp"
+#include "la/batch_qr.hpp"
 #include "la/blas.hpp"
 #include "la/checks.hpp"
 #include "runtime/dag_executor.hpp"
@@ -17,20 +18,6 @@
 namespace tqr::svc {
 
 namespace {
-
-/// Sum of squares of rows [0, rows) of column j, accumulated in row order
-/// one contiguous tile-column segment at a time.
-double column_sumsq(const la::TiledMatrix<double>& t, la::index_t j,
-                    la::index_t rows) {
-  const la::index_t b = t.tile_size();
-  double s = 0;
-  for (la::index_t i0 = 0; i0 < rows; i0 += b) {
-    const double* seg = t.column_segment(i0, j);
-    const la::index_t n = std::min(b, rows - i0);
-    for (la::index_t i = 0; i < n; ++i) s += seg[i] * seg[i];
-  }
-  return s;
-}
 
 la::index_t round_up(la::index_t n, la::index_t b) {
   return (n + b - 1) / b * b;
@@ -49,31 +36,100 @@ std::string sci(double v) {
   return buf;
 }
 
-/// A job whose input holds a non-finite value (after narrowing, for fp32):
-/// terminal JobStatus::kInvalidInput, never retried, never held against the
-/// lane.
-class NonFiniteInput : public Error {
+/// A job no factorization can serve as submitted: a shape the spec does not
+/// allow, or a non-finite value (after narrowing, for fp32). Terminal
+/// JobStatus::kInvalidInput, never retried, never held against the lane.
+class InvalidInput : public Error {
  public:
-  explicit NonFiniteInput(const std::string& what) : Error(what) {}
+  explicit InvalidInput(const std::string& what) : Error(what) {}
 };
 
-/// Scalar Q replay against one batch member's extracted dense factor
-/// (R upper / V lower, unit diagonal implied): c <- Q c. Verification-only;
-/// O(m n) per column of c, so batching it buys nothing.
-void batch_apply_q(const la::Matrix<double>& fac,
-                   const la::AlignedVector<double>& tau,
-                   la::Matrix<double>& c) {
-  const la::index_t m = fac.rows();
-  const la::index_t n = fac.cols();
-  for (la::index_t k = n - 1; k >= 0; --k) {
-    for (la::index_t j = 0; j < c.cols(); ++j) {
-      double w = c(k, j);
-      for (la::index_t i = k + 1; i < m; ++i) w += fac(i, k) * c(i, j);
-      w *= tau[static_cast<std::size_t>(k)];
-      c(k, j) -= w;
-      for (la::index_t i = k + 1; i < m; ++i) c(i, j) -= w * fac(i, k);
+/// The shape checks of both job kinds, run before either path touches the
+/// spec. Throws InvalidInput.
+void validate_shape(const JobSpec& spec) {
+  auto require = [](bool ok, const char* what) {
+    if (!ok) throw InvalidInput(std::string("invalid input: ") + what);
+  };
+  if (!spec.is_batch()) {
+    require(spec.a.rows() > 0 && spec.a.cols() > 0, "job matrix is empty");
+    require(spec.a.rows() >= spec.a.cols(), "tiled QR requires rows >= cols");
+    return;
+  }
+  require(spec.a.rows() == 0 && spec.a.cols() == 0,
+          "batched job must not also carry a single matrix");
+  const la::index_t m = spec.batch.front().rows();
+  const la::index_t n = spec.batch.front().cols();
+  require(m > 0 && n > 0, "batched job problems must be non-empty");
+  require(m >= n, "batched QR requires rows >= cols");
+  for (const la::Matrix<double>& a : spec.batch)
+    require(a.rows() == m && a.cols() == n,
+            "batched job problems must share one shape");
+}
+
+/// c <- Q c for an m x k block c of the caller's row space whose rows from
+/// n (the caller's column count) on are zero. Each job kind supplies its own
+/// replay; nothing else in verification knows how Q is stored.
+using ApplyQ = std::function<void(la::MatrixView<double>)>;
+
+/// What the verify tiers found on one factorization. The statistics stay -1
+/// when their tier did not run (JobResult's convention).
+struct TierCheck {
+  double verify = -1;    // the enforcing statistic: probe or full residual
+  double residual = -1;  // ||A - Q R||_F / ||A||_F, when computed
+  std::string fail;      // why a tier rejected; empty when all accepted
+};
+
+/// The verify tiers of both job kinds, on the factorization as the caller
+/// receives it: the caller's A (m x n) against its R (n x n, upper), with Q
+/// applied through `apply_q`. Tier 1 is the column-norm drift, tier 2 the
+/// probe of one seeded random x, tier 3 (kFull, or compute_residual to
+/// report it) the reconstruction residual. The tiers run in that order and
+/// stop at the first rejection; every comparison is written !(x <= tol), so
+/// a NaN statistic rejects. Each statistic is scale-safe (la/checks.hpp).
+TierCheck check_tiers(const la::Matrix<double>& a, const la::Matrix<double>& r,
+                      const ApplyQ& apply_q, Verify verify,
+                      bool compute_residual, double tol,
+                      std::uint64_t probe_seed) {
+  TierCheck out;
+  auto reject = [&](const char* what, double stat) {
+    out.fail = std::string(what) + " " + sci(stat) + " exceeds tolerance " +
+               sci(tol);
+  };
+  const la::index_t m = a.rows();
+  const la::index_t n = a.cols();
+  if (verify >= Verify::kScan) {
+    const double drift = la::column_norm_drift<double>(a.view(), r.view());
+    if (!(drift <= tol)) {
+      reject("column-norm drift", drift);
+      return out;
     }
   }
+  if (verify == Verify::kProbe) {
+    // The factorization's answer for A x is Q ([R; 0] x); the reference
+    // A x comes straight from the caller's matrix.
+    const la::Matrix<double> x = la::probe_vector<double>(n, probe_seed);
+    la::Matrix<double> qrx(m, 1);
+    la::gemm<double>(la::Trans::kNoTrans, la::Trans::kNoTrans, 1.0, r.view(),
+                     x.view(), 0.0, qrx.block(0, 0, n, 1));
+    apply_q(qrx.view());
+    out.verify = la::probe_residual<double>(a.view(), x.view(), qrx.view());
+    if (!(out.verify <= tol)) {
+      reject("probe residual", out.verify);
+      return out;
+    }
+  }
+  if (verify == Verify::kFull || compute_residual) {
+    la::Matrix<double> qr(m, n);  // [R; 0], then Q applied in place
+    la::copy<double>(r.view(), qr.block(0, 0, n, n));
+    apply_q(qr.view());
+    out.residual = la::relative_error<double>(qr.view(), a.view());
+    if (verify == Verify::kFull) {
+      out.verify = out.residual;
+      if (!(out.residual <= tol))
+        reject("reconstruction residual", out.residual);
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -506,11 +562,21 @@ JobResult QrService::process(LaneEngine& engine, int lane, PendingJob job,
     return result;
   }
 
+  try {
+    validate_shape(job.spec);
+  } catch (const InvalidInput& e) {
+    // The submitter's error, not the lane's: no attempt is made.
+    result.status = JobStatus::kInvalidInput;
+    result.error = e.what();
+    result.total_s = clock_.seconds() - job.submit_s;
+    return result;
+  }
+
   if (job.spec.is_batch()) {
     // Batched jobs skip the retry loop: members never retry — a member that
     // fails its verify tier is quarantined alone (kCorrupted in
     // problem_status) while the rest of the batch stays valid, and a
-    // whole-batch exception (bad spec) is terminal. The tail of the single
+    // whole-batch exception is terminal. The tail of the single
     // path must not run either: it clears result.r wholesale, whereas a
     // non-kOk batch keeps every member the per-problem statuses vouch for.
     result.attempts = 1;
@@ -520,8 +586,8 @@ JobResult QrService::process(LaneEngine& engine, int lane, PendingJob job,
       result.status = JobStatus::kCancelled;
       result.error = control.reason_text();
     } catch (const std::exception& e) {
-      // Spec validation or an engine failure poisons the whole batch: no
-      // member result is trustworthy, so none are handed out.
+      // An engine failure poisons the whole batch: no member result is
+      // trustworthy, so none are handed out.
       result.status = JobStatus::kFailed;
       result.error = e.what();
       result.batch_r.clear();
@@ -544,7 +610,7 @@ JobResult QrService::process(LaneEngine& engine, int lane, PendingJob job,
       result.status = JobStatus::kCancelled;
       result.error = control.reason_text();
       break;
-    } catch (const NonFiniteInput& e) {
+    } catch (const InvalidInput& e) {
       // The input, not the run, is at fault: every attempt would see it.
       result.status = JobStatus::kInvalidInput;
       result.error = e.what();
@@ -615,8 +681,6 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
                             double picked_up_s, JobControl& control,
                             JobResult& result) {
   const la::Matrix<double>& a = job.spec.a;
-  TQR_REQUIRE(a.rows() > 0 && a.cols() > 0, "job matrix is empty");
-  TQR_REQUIRE(a.rows() >= a.cols(), "tiled QR requires rows >= cols");
   const int b = job.spec.tile_size > 0 ? job.spec.tile_size
                                        : config_.default_tile;
   result.tile_size = b;
@@ -652,27 +716,11 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
   // extra pass and never reaches a kernel, where it would read as
   // corruption and indict a healthy lane.
   if (!la::load_padded(ws->a, a.view()))
-    throw NonFiniteInput("invalid input: matrix holds NaN or Inf");
+    throw InvalidInput("invalid input: matrix holds NaN or Inf");
   if (fp32 && !la::convert(ws->a, ws->a32))
-    throw NonFiniteInput("invalid input: matrix exceeds the fp32 range");
+    throw InvalidInput("invalid input: matrix exceeds the fp32 range");
 
   const Verify verify = job.spec.verify;
-  // Tier-1 baseline: orthogonal transforms preserve column 2-norms, so each
-  // column of R must reproduce the matching column norm of the padded input.
-  // Captured here, before the factorization overwrites the tiles; one O(m n)
-  // pass, paid only when verification is on.
-  std::vector<double> col_norm;
-  double a_fro = 0;
-  if (verify >= Verify::kScan) {
-    col_norm.resize(static_cast<std::size_t>(pc));
-    double fro2 = 0;
-    for (la::index_t j = 0; j < pc; ++j) {
-      const double col2 = column_sumsq(ws->a, j, pr);
-      col_norm[static_cast<std::size_t>(j)] = std::sqrt(col2);
-      fro2 += col2;
-    }
-    a_fro = std::sqrt(fro2);
-  }
 
   // Execute the factorization graph on the lane engine's workers.
   // The kernel wrapper is the service's task-boundary hook: it enforces the
@@ -818,93 +866,30 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
   // equal to R of the unpadded matrix).
   result.r = la::upper_triangle(ws->a, a.cols());
 
+  // The verify tiers see what the caller receives: A against R. Q comes
+  // from replaying the factor tasks over the padded rows, which enter as
+  // zeros and are dropped on the way back. The caller's block is zero from
+  // row n on, and every pad column's reflector lives on rows >= n, so it
+  // passes the block through untouched: the replay applies exactly Q of A.
+  const ApplyQ apply_q = [&](la::MatrixView<double> c) {
+    la::Matrix<double> padded(pr, c.cols);
+    la::copy<double>(c, padded.block(0, 0, c.rows, c.cols));
+    core::apply_q_tiles<double>(*graph, ws->a, ws->tg, ws->te, padded.view(),
+                                la::Trans::kNoTrans, ib);
+    la::copy<double>(padded.block(0, 0, c.rows, c.cols), c);
+  };
   const double tol = fp32 ? la::verify_tolerance<float>(std::max(pr, pc))
                           : la::verify_tolerance<double>(std::max(pr, pc));
-  if (verify >= Verify::kScan) {
-    // End-of-job tier 1: column-norm drift of R against the input norms
-    // captured above, normalized by ||A||_F (per-column normalization would
-    // let a tiny column amplify rounding into a false positive). All
-    // comparisons are written !(x <= tol) so a NaN that somehow survived the
-    // per-task scans still fails.
-    double worst = 0;
-    for (la::index_t j = 0; j < pc; ++j) {
-      const double col2 = column_sumsq(ws->a, j, std::min(j + 1, pr));
-      worst = std::max(
-          worst,
-          std::abs(std::sqrt(col2) - col_norm[static_cast<std::size_t>(j)]));
-    }
-    const double drift = a_fro > 0 ? worst / a_fro : worst;
-    if (!(drift <= tol))
-      throw VerificationError("verification: column-norm drift " +
-                              sci(drift) + " exceeds tolerance " + sci(tol));
-  }
-
-  if (verify == Verify::kProbe) {
-    // Tier 2: push one random probe x through both sides of A = Q R. The
-    // factorization's answer is z = Q ([R; 0] x), replaying the factor
-    // tasks against a single column (O(m n) — about n x cheaper than the
-    // full reconstruction); the reference A x comes straight from the
-    // caller's matrix plus the identity pad. Seeded from (job, attempt), so
-    // a flagged run can be replayed bit-for-bit and a retry never reuses a
-    // probe direction.
-    const std::uint64_t probe_seed =
-        job.id * 0x9E3779B97F4A7C15ull +
-        static_cast<std::uint64_t>(result.attempts);
-    la::Matrix<double> x = la::probe_vector<double>(pc, probe_seed);
-    la::Matrix<double> z(pr, 1);
-    for (la::index_t i = 0; i < pc; ++i) {
-      double s = 0;
-      for (la::index_t j = i; j < pc; ++j) s += ws->a.at(i, j) * x(j, 0);
-      z(i, 0) = s;
-    }
-    core::apply_q_tiles<double>(*graph, ws->a, ws->tg, ws->te, z.view(),
-                                la::Trans::kNoTrans, config_.inner_block);
-    la::Matrix<double> ax(pr, 1);
-    for (la::index_t i = 0; i < a.rows(); ++i) {
-      double s = 0;
-      for (la::index_t j = 0; j < a.cols(); ++j) s += a(i, j) * x(j, 0);
-      ax(i, 0) = s;
-    }
-    for (la::index_t d = 0; d + a.cols() < pc && d + a.rows() < pr; ++d)
-      ax(a.rows() + d, 0) = x(a.cols() + d, 0);  // identity pad rows
-    result.verify_residual = la::relative_error<double>(z.view(), ax.view());
-    if (!(result.verify_residual <= tol))
-      throw VerificationError("verification: probe residual " +
-                              sci(result.verify_residual) +
-                              " exceeds tolerance " + sci(tol));
-  }
-
-  if (job.spec.compute_residual || verify == Verify::kFull) {
-    // ||A - Q R||_F / ||A||_F over the padded matrix: build [R; 0],
-    // apply Q by replaying the factor tasks, subtract A.
-    la::Matrix<double> qr(pr, pc);
-    for (la::index_t j = 0; j < pc; ++j)
-      for (la::index_t i = 0; i <= j && i < pr; ++i)
-        qr(i, j) = ws->a.at(i, j);
-    core::apply_q_tiles<double>(*graph, ws->a, ws->tg, ws->te, qr.view(),
-                                la::Trans::kNoTrans, config_.inner_block);
-    double diff2 = 0, norm2 = 0;
-    for (la::index_t j = 0; j < pc; ++j) {
-      for (la::index_t i = 0; i < pr; ++i) {
-        const bool inside = i < a.rows() && j < a.cols();
-        double aij = inside ? a(i, j) : 0.0;
-        if (!inside && i - a.rows() == j - a.cols() && i >= a.rows())
-          aij = 1.0;  // identity pad diagonal
-        const double d = qr(i, j) - aij;
-        diff2 += d * d;
-        norm2 += aij * aij;
-      }
-    }
-    result.residual = std::sqrt(diff2) / (norm2 > 0 ? std::sqrt(norm2) : 1);
-    if (verify == Verify::kFull) {
-      // Tier 3: the reconstruction residual itself is the verdict.
-      result.verify_residual = result.residual;
-      if (!(result.residual <= tol))
-        throw VerificationError("verification: reconstruction residual " +
-                                sci(result.residual) + " exceeds tolerance " +
-                                sci(tol));
-    }
-  }
+  // The probe is seeded from (job, attempt), so a flagged run can be
+  // replayed bit-for-bit and a retry never reuses a probe direction.
+  const TierCheck check = check_tiers(
+      a, result.r, apply_q, verify, job.spec.compute_residual, tol,
+      job.id * 0x9E3779B97F4A7C15ull +
+          static_cast<std::uint64_t>(result.attempts));
+  result.verify_residual = check.verify;
+  result.residual = check.residual;
+  if (!check.fail.empty())
+    throw VerificationError("verification: " + check.fail);
 
   // Clean finish: the recycled workspace only holds factors every enabled
   // check accepted, so it can be parked without the scrub pass.
@@ -914,15 +899,8 @@ void QrService::run_attempt(LaneEngine& engine, const PendingJob& job,
 void QrService::run_batch(const PendingJob& job, double picked_up_s,
                           JobControl& control, JobResult& result) {
   const std::vector<la::Matrix<double>>& batch = job.spec.batch;
-  TQR_REQUIRE(job.spec.a.rows() == 0 && job.spec.a.cols() == 0,
-              "batched job must not also carry a single matrix");
   const la::index_t m = batch.front().rows();
   const la::index_t n = batch.front().cols();
-  TQR_REQUIRE(m > 0 && n > 0, "batched job problems must be non-empty");
-  TQR_REQUIRE(m >= n, "batched QR requires rows >= cols");
-  for (const la::Matrix<double>& a : batch)
-    TQR_REQUIRE(a.rows() == m && a.cols() == n,
-                "batched job problems must share one shape");
   const la::index_t count = static_cast<la::index_t>(batch.size());
   const bool fp32 = job.spec.precision == Precision::kFp32;
   const int b = job.spec.tile_size > 0 ? job.spec.tile_size
@@ -1039,7 +1017,6 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
   const bool corrupting =
       fault_ && fault_->config().mode == FaultConfig::Mode::kCorrupt;
   la::Matrix<double> fac(m, n);
-  la::AlignedVector<double> tau_p(static_cast<std::size_t>(n));
   la::index_t bad = 0, rejected = 0;
   for (la::index_t p = 0; p < done; ++p) {
     if (invalid[static_cast<std::size_t>(p)]) {
@@ -1049,8 +1026,6 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
       continue;
     }
     ws->vr.extract(p, fac.view());
-    for (la::index_t k = 0; k < n; ++k) tau_p[static_cast<std::size_t>(k)] =
-        ws->tau.at(k, 0, p);
     if (corrupting) {
       // Member-granular SDC model: the injector sees one synthetic GEQRT
       // "task" per member (task id = member index), so FaultConfig::task
@@ -1061,84 +1036,26 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
       fault_->maybe_corrupt(static_cast<dag::task_id>(p), task, result.lane,
                             fac.view());
     }
+    la::Matrix<double> r(n, n);
+    for (la::index_t j = 0; j < n; ++j)
+      for (la::index_t i = 0; i <= j; ++i) r(i, j) = fac(i, j);
 
     std::string fail;
-    if (verify >= Verify::kScan && !la::all_finite<double>(fac.view()))
+    if (verify >= Verify::kScan && !la::all_finite<double>(fac.view())) {
       fail = "non-finite value in factors";
-    if (fail.empty() && verify >= Verify::kScan) {
-      // Tier 1 per member: column norms of R must reproduce the member's
-      // input column norms (orthogonal invariance), normalized by ||A||_F.
-      const la::Matrix<double>& a = batch[static_cast<std::size_t>(p)];
-      double fro2 = 0, worst = 0;
-      for (la::index_t j = 0; j < n; ++j) {
-        double col2 = 0, rcol2 = 0;
-        for (la::index_t i = 0; i < m; ++i) {
-          const double v = a(i, j);
-          col2 += v * v;
-        }
-        for (la::index_t i = 0; i <= j; ++i) {
-          const double v = fac(i, j);
-          rcol2 += v * v;
-        }
-        worst = std::max(worst,
-                         std::abs(std::sqrt(rcol2) - std::sqrt(col2)));
-        fro2 += col2;
-      }
-      const double a_fro = std::sqrt(fro2);
-      const double drift = a_fro > 0 ? worst / a_fro : worst;
-      if (!(drift <= tol))
-        fail = "column-norm drift " + sci(drift) + " exceeds tolerance " +
-               sci(tol);
-    }
-    if (fail.empty() && verify == Verify::kProbe) {
-      // Tier 2 per member: z = Q ([R; 0] x) by reflector replay vs A x.
-      const std::uint64_t probe_seed =
-          job.id * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(p);
-      la::Matrix<double> x = la::probe_vector<double>(n, probe_seed);
-      la::Matrix<double> z(m, 1);
-      for (la::index_t i = 0; i < n; ++i) {
-        double s = 0;
-        for (la::index_t j = i; j < n; ++j) s += fac(i, j) * x(j, 0);
-        z(i, 0) = s;
-      }
-      batch_apply_q(fac, tau_p, z);
-      const la::Matrix<double>& a = batch[static_cast<std::size_t>(p)];
-      la::Matrix<double> ax(m, 1);
-      for (la::index_t i = 0; i < m; ++i) {
-        double s = 0;
-        for (la::index_t j = 0; j < n; ++j) s += a(i, j) * x(j, 0);
-        ax(i, 0) = s;
-      }
-      const double rel = la::relative_error<double>(z.view(), ax.view());
-      result.verify_residual = std::max(result.verify_residual, rel);
-      if (!(rel <= tol))
-        fail = "probe residual " + sci(rel) + " exceeds tolerance " +
-               sci(tol);
-    }
-    if (fail.empty() &&
-        (verify == Verify::kFull || job.spec.compute_residual)) {
-      // Tier 3 / report-only: ||A - Q R||_F / ||A||_F by full replay.
-      la::Matrix<double> qr(m, n);
-      for (la::index_t j = 0; j < n; ++j)
-        for (la::index_t i = 0; i <= j; ++i) qr(i, j) = fac(i, j);
-      batch_apply_q(fac, tau_p, qr);
-      const la::Matrix<double>& a = batch[static_cast<std::size_t>(p)];
-      double diff2 = 0, norm2 = 0;
-      for (la::index_t j = 0; j < n; ++j)
-        for (la::index_t i = 0; i < m; ++i) {
-          const double d = qr(i, j) - a(i, j);
-          diff2 += d * d;
-          norm2 += a(i, j) * a(i, j);
-        }
-      const double rel =
-          std::sqrt(diff2) / (norm2 > 0 ? std::sqrt(norm2) : 1);
-      result.residual = std::max(result.residual, rel);
-      if (verify == Verify::kFull) {
-        result.verify_residual = std::max(result.verify_residual, rel);
-        if (!(rel <= tol))
-          fail = "reconstruction residual " + sci(rel) +
-                 " exceeds tolerance " + sci(tol);
-      }
+    } else {
+      // Q replays the member's reflectors, which the poison above never
+      // touches (it lands in R), straight from the pooled factors.
+      const TierCheck check = check_tiers(
+          batch[static_cast<std::size_t>(p)], r,
+          [&](la::MatrixView<double> c) {
+            la::batch::apply_q_member(ws->vr, ws->tau, p, c);
+          },
+          verify, job.spec.compute_residual, tol,
+          job.id * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(p));
+      result.verify_residual = std::max(result.verify_residual, check.verify);
+      result.residual = std::max(result.residual, check.residual);
+      fail = check.fail;
     }
 
     if (!fail.empty()) {
@@ -1155,9 +1072,6 @@ void QrService::run_batch(const PendingJob& job, double picked_up_s,
                             .add("error", fail));
     } else {
       result.problem_status[static_cast<std::size_t>(p)] = JobStatus::kOk;
-      la::Matrix<double> r(n, n);
-      for (la::index_t j = 0; j < n; ++j)
-        for (la::index_t i = 0; i <= j; ++i) r(i, j) = fac(i, j);
       result.batch_r[static_cast<std::size_t>(p)] = std::move(r);
       ++result.problems_ok;
     }

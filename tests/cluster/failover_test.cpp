@@ -90,6 +90,52 @@ TEST(Failover, NonFiniteInputIsNeverFailedOverNorHeldAgainstANode) {
   EXPECT_EQ(c.submit(job(64, 99)).future.get().status, svc::JobStatus::kOk);
 }
 
+TEST(Failover, ShapeErrorIsNeverFailedOverNorHeldAgainstANode) {
+  // A shape no node can factor is the submitter's error too: it resolves
+  // kInvalidInput on its first node, so it is neither failed over nor
+  // counted by a node breaker armed at its hair trigger.
+  ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.policy = RouterPolicy::kRoundRobin;
+  cfg.node.lanes = 1;
+  cfg.node.quarantine_after = 1;
+  cfg.max_node_attempts = 3;
+  cfg.health.breaker_after = 1;
+  Cluster c(cfg);
+
+  std::vector<std::future<svc::JobResult>> futures;
+  for (int k = 0; k < 4; ++k) {
+    svc::JobSpec spec;
+    spec.a = la::Matrix<double>::random(32, 64, 90 + k);  // rows < cols
+    futures.push_back(c.submit(std::move(spec)).future);
+  }
+  svc::JobSpec batch;
+  batch.batch.push_back(la::Matrix<double>::random(8, 8, 95));
+  batch.batch.push_back(la::Matrix<double>::random(8, 6, 96));  // mixed
+  futures.push_back(c.submit(std::move(batch)).future);
+  for (auto& f : futures) {
+    const auto r = f.get();
+    EXPECT_EQ(r.status, svc::JobStatus::kInvalidInput) << r.error;
+    EXPECT_EQ(r.attempts, 0);
+  }
+  c.drain();
+
+  const auto s = c.stats();
+  EXPECT_EQ(s.failovers, 0u);
+  EXPECT_EQ(s.node_quarantines, 0u);
+  EXPECT_EQ(s.nodes_quarantined, 0);
+  EXPECT_EQ(s.lanes_quarantined, 0);
+  std::uint64_t attempted = 0, invalid = 0;
+  for (const svc::ServiceStats& n : s.nodes) {
+    attempted += n.jobs_submitted;
+    invalid += n.jobs_invalid_input;
+  }
+  EXPECT_EQ(attempted, 5u);  // one node attempt per submission
+  EXPECT_EQ(invalid, 5u);
+  for (double rate : s.node_failure_rate) EXPECT_DOUBLE_EQ(rate, 0.0);
+  EXPECT_EQ(c.submit(job(64, 99)).future.get().status, svc::JobStatus::kOk);
+}
+
 TEST(Failover, ResubmitsAfterMidRunNodeCrash) {
   ClusterConfig cfg = chaos_base();
   cfg.max_node_attempts = 2;

@@ -322,8 +322,9 @@ TEST(GemmDegenerate, SubviewsWithNonUnitLd) {
       }
     for (index_t j = 0; j < cbig.cols(); ++j)
       for (index_t i = 0; i < cbig.rows(); ++i)
-        if (!(i >= 3 && i < 3 + s && j >= 2 && j < 2 + s))
+        if (!(i >= 3 && i < 3 + s && j >= 2 && j < 2 + s)) {
           ASSERT_EQ(cbig(i, j), csnap(i, j));
+        }
   }
 }
 
@@ -356,8 +357,9 @@ TEST(TrmmDegenerate, OneByOneAndSubview) {
     }
   for (index_t j = 0; j < bbig.cols(); ++j)
     for (index_t i = 0; i < bbig.rows(); ++i)
-      if (!(i >= 4 && i < 4 + m && j >= 1 && j < 1 + n))
+      if (!(i >= 4 && i < 4 + m && j >= 1 && j < 1 + n)) {
         ASSERT_EQ(bbig(i, j), bsnap(i, j));
+      }
 }
 
 TEST(TrmmDegenerate, BlockedMatchesSmallAcrossSizes) {
@@ -429,8 +431,9 @@ TEST(TrsmDegenerate, OneByOneAndSubview) {
       EXPECT_NEAR(back(i, j), rhs(i, j), 1e-9);
   for (index_t j = 0; j < bbig.cols(); ++j)
     for (index_t i = 0; i < bbig.rows(); ++i)
-      if (!(i >= 2 && i < 2 + m && j >= 1 && j < 1 + n))
+      if (!(i >= 2 && i < 2 + m && j >= 1 && j < 1 + n)) {
         ASSERT_EQ(bbig(i, j), bsnap(i, j));
+      }
 }
 
 TEST(TrsmRightDegenerate, IdentityOperatorAndZeroRhs) {

@@ -93,6 +93,45 @@ TEST(ColumnNormDrift, CleanTinyCorruptedLarge) {
   EXPECT_GT(column_norm_drift<double>(a.view(), bad.view()), tol);
 }
 
+TEST(ScaleSafety, TierStatisticsHoldAtTwoToThePlusMinus1000) {
+  // Unscaled sums of squares overflow above ~1e154 and underflow below
+  // ~1e-154. At 2^+-1000 each statistic must still read as it does at
+  // scale 1: a clean factorization inside tolerance, a corrupted one (the
+  // injector's kPerturb) far above it, and a known ratio exactly.
+  const index_t m = 48, n = 32;
+  const Matrix<double> base = Matrix<double>::random(m, n, 17);
+  const double tol = verify_tolerance<double>(m);
+  for (const int e : {1000, -1000}) {
+    Matrix<double> a = base;
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < m; ++i) a(i, j) = std::ldexp(a(i, j), e);
+    const ReferenceQr<double> qr(a);
+    const Matrix<double> r = qr.r();
+    index_t pi = 0, pj = 0;
+    max_abs_upper(r, &pi, &pj);
+    Matrix<double> bad = r;
+    bad(pi, pj) *= 1.0 + 1e-3;
+
+    EXPECT_LT(column_norm_drift<double>(a.view(), r.view()), tol) << e;
+    EXPECT_GT(column_norm_drift<double>(a.view(), bad.view()), tol) << e;
+
+    const Matrix<double> x = probe_vector<double>(n, 5);
+    const double clean =
+        probe_residual<double>(a.view(), x.view(), qrx_of(qr, r, x).view());
+    EXPECT_GT(clean, 0.0) << e;  // an underflowed statistic reads 0
+    EXPECT_LT(clean, tol) << e;
+    EXPECT_GT(probe_residual<double>(a.view(), x.view(),
+                                     qrx_of(qr, bad, x).view()),
+              tol)
+        << e;
+
+    Matrix<double> b = a;
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < m; ++i) b(i, j) *= 1.5;
+    EXPECT_NEAR(relative_error<double>(b.view(), a.view()), 0.5, 1e-12) << e;
+  }
+}
+
 TEST(ProbeResidual, ZeroFalsePositivesAcrossFuzzSeeds) {
   // The acceptance contract: a clean double-precision factorization never
   // trips the probe at verify_tolerance, across shapes and seeds.

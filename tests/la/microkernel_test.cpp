@@ -196,7 +196,9 @@ TEST(Microkernel, NonUnitLeadingDimensionSubviews) {
   for (index_t j = 0; j < cbig.cols(); ++j)
     for (index_t i = 0; i < cbig.rows(); ++i) {
       const bool inside = i >= 5 && i < 5 + m && j >= 2 && j < 2 + n;
-      if (!inside) ASSERT_EQ(cbig(i, j), csnap(i, j));
+      if (!inside) {
+        ASSERT_EQ(cbig(i, j), csnap(i, j));
+      }
     }
 }
 

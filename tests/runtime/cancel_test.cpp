@@ -234,8 +234,11 @@ TEST(DagExecutorCancel, DroppedTasksAreAccountedInTraceAndCounters) {
   EXPECT_GE(drops, 1);
   EXPECT_EQ(counters.drained_tasks.load(), static_cast<std::uint64_t>(drops));
   // Drop instants are zero-duration and add no busy time.
-  for (const TraceEvent& e : events)
-    if (e.kind != TraceEvent::Kind::kTask) EXPECT_EQ(e.start_s, e.end_s);
+  for (const TraceEvent& e : events) {
+    if (e.kind != TraceEvent::Kind::kTask) {
+      EXPECT_EQ(e.start_s, e.end_s);
+    }
+  }
 }
 
 TEST(DagExecutorCancel, CleanRunRecordsNoDropInstants) {

@@ -79,7 +79,9 @@ TEST(QrService, RepeatedShapeHitsPlanCache) {
 TEST(QrService, WideMatrixFails) {
   QrService service;
   auto result = service.submit(spec_for(32, 64, 5, false)).get();
-  EXPECT_EQ(result.status, JobStatus::kFailed);
+  // The shape is the submitter's error: rejected before any attempt.
+  EXPECT_EQ(result.status, JobStatus::kInvalidInput);
+  EXPECT_EQ(result.attempts, 0);
   EXPECT_FALSE(result.error.empty());
   // A failed job must not poison the lane for the next one.
   auto ok = service.submit(spec_for(64, 64, 6, false)).get();

@@ -120,12 +120,13 @@ TEST(ServiceBatch, BatchPlusSingleMatrixSpecIsRejected) {
   spec.a = la::Matrix<double>::random(8, 8, 1);
   spec.batch = random_batch(8, 8, 2, 2);
   const auto result = service.submit(std::move(spec)).get();
-  EXPECT_EQ(result.status, JobStatus::kFailed);
+  EXPECT_EQ(result.status, JobStatus::kInvalidInput);
   EXPECT_FALSE(result.error.empty());
   // Wide members are rejected the same way.
   JobSpec wide;
   wide.batch.push_back(la::Matrix<double>::random(4, 6, 3));
-  EXPECT_EQ(service.submit(std::move(wide)).get().status, JobStatus::kFailed);
+  EXPECT_EQ(service.submit(std::move(wide)).get().status,
+            JobStatus::kInvalidInput);
 }
 
 TEST(ServiceBatch, ImmediateDeadlineCancelsUnranMembersCleanly) {

@@ -47,6 +47,18 @@ set -e
   | grep -q "6 ok, 0 failed" || fail "serve table"
 "$TQR" serve --jobs 96x96:4 --json | grep -q '"hit_rate"' || fail "serve json"
 
+# serve: shape errors are the submitter's, like NaN input: they resolve
+# invalid_input (exit 2) and no healthy lane is quarantined for them.
+set +e
+out=$("$TQR" serve --jobs 64x128:3,96x96:2 --lanes 2 --quarantine-after 1 \
+  --json 2> /dev/null)
+rc=$?
+set -e
+[[ $rc -eq 2 ]] || fail "shape-error serve exit code $rc"
+echo "$out" | grep -q '"ok": 2, "failed": 0' || fail "shape-error ok/failed: $out"
+echo "$out" | grep -q '"invalid_input": 3' || fail "shape-error invalid: $out"
+echo "$out" | grep -q '"quarantines": 0' || fail "shape-error quarantine: $out"
+
 # factor with the hierarchical elimination tree stays at machine precision.
 "$TQR" factor --in A.mtx --elim hier \
   | grep -Eq 'Q\^T Q - I.*e-1[4-9]' || fail "hier factor residual"
